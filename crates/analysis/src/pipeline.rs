@@ -493,6 +493,14 @@ pub enum StaticFlag {
 }
 
 impl StaticFlag {
+    /// Every flag, in declaration order.
+    pub const ALL: [StaticFlag; 4] = [
+        StaticFlag::Structural,
+        StaticFlag::Abstract,
+        StaticFlag::Symbolic,
+        StaticFlag::Unflagged,
+    ];
+
     pub fn label(self) -> &'static str {
         match self {
             StaticFlag::Structural => "structural",
@@ -500,6 +508,11 @@ impl StaticFlag {
             StaticFlag::Symbolic => "symbolic",
             StaticFlag::Unflagged => "none",
         }
+    }
+
+    /// Inverse of [`StaticFlag::label`], for checkpoint decoding.
+    pub fn from_label(label: &str) -> Option<StaticFlag> {
+        StaticFlag::ALL.into_iter().find(|f| f.label() == label)
     }
 }
 

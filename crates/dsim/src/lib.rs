@@ -59,7 +59,10 @@ pub use debugger::{TickRecord, TimeTravelDebugger};
 pub use minimize::{
     ddmin_items, minimize, minimize_fault, MachineCodeEdit, MinimizeConfig, MinimizedCounterExample,
 };
-pub use runtime::{catch_silent, run_stealing, run_stealing_observed, RuntimeOptions, WorkerPanic};
+pub use runtime::{
+    catch_silent, run_campaign, run_stealing, run_stealing_observed, Campaign, CampaignRun,
+    RuntimeOptions, TaskResult, WorkerPanic,
+};
 pub use sim::Simulator;
 pub use testing::{
     fuzz_campaign, fuzz_test, run_case, run_sharded, shard_seed, CampaignConfig, CampaignReport,

@@ -42,7 +42,7 @@ use druzhba_p4::lower::{lower, RmtConfig, RmtLowering};
 use druzhba_p4::tables::{bind, parse_entries, TableEntry};
 
 use crate::minimize::{minimize_trace_with, MinimizedCounterExample};
-use crate::testing::{shard_seed, CampaignReport, FuzzReport, Verdict};
+use crate::testing::{CampaignReport, FuzzReport, Verdict};
 
 /// A P4 program ready for differential testing: resolved source,
 /// validated entries, and the RMT lowering.
@@ -402,7 +402,7 @@ pub fn p4_fuzz_test(
 
 /// Configuration of a multi-run P4 fuzz campaign (see
 /// [`crate::testing::CampaignConfig`]; run `i` uses
-/// [`shard_seed`]`(base.seed, i)`).
+/// [`crate::testing::shard_seed`]`(base.seed, i)`).
 #[derive(Debug, Clone)]
 pub struct P4CampaignConfig {
     /// Number of independent runs.
@@ -427,7 +427,7 @@ impl Default for P4CampaignConfig {
 
 /// Run a deterministic sharded P4 fuzz campaign: `cfg.runs` independently
 /// seeded differential runs over the panic-isolated work-stealing pool
-/// ([`crate::runtime::run_stealing_observed`]). Results are a pure
+/// ([`crate::runtime::run_campaign`]). Results are a pure
 /// function of the configuration — never of the worker count.
 pub fn p4_fuzz_campaign(
     workload: &P4Workload,
@@ -470,12 +470,14 @@ pub fn p4_fuzz_campaign_with_runtime(
         "p4-campaign",
         fingerprint,
         cfg.runs,
+        cfg.base.seed,
         cfg.workers,
         runtime,
-        |run| shard_seed(cfg.base.seed, run as u64),
-        |run| {
-            let mut fuzz_cfg = cfg.base.clone();
-            fuzz_cfg.seed = shard_seed(cfg.base.seed, run as u64);
+        |seed| {
+            let fuzz_cfg = P4FuzzConfig {
+                seed,
+                ..cfg.base.clone()
+            };
             p4_fuzz_test(workload, entries, level, &fuzz_cfg)
         },
     )
@@ -590,6 +592,11 @@ impl P4FaultKind {
             P4FaultKind::ActionArg => "action_arg",
             P4FaultKind::MatchValue => "match_value",
         }
+    }
+
+    /// Inverse of [`P4FaultKind::key`], for checkpoint decoding.
+    pub fn from_key(key: &str) -> Option<P4FaultKind> {
+        P4FaultKind::ALL.into_iter().find(|k| k.key() == key)
     }
 }
 

@@ -21,7 +21,9 @@
 //!
 //! [`RuntimeOptions`] carries the crash-proofing knobs (checkpoint
 //! directory and cadence, resume, wall-clock budget) from the CLI down
-//! into the campaign drivers.
+//! into [`run_campaign`], the one resumable driver every per-task
+//! campaign (fuzz, p4-fuzz, hunt, p4-hunt, genhunt) plugs into through
+//! the [`Campaign`] trait.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -30,6 +32,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex, Once};
 use std::time::{Duration, Instant};
+
+use crate::snapshot;
 
 /// A panic captured from one work item: the stringified payload, which for
 /// the deterministic hostile trap (and any `panic!` with a message) is a
@@ -246,6 +250,188 @@ where
         .collect()
 }
 
+/// One resumable campaign: a fixed list of index-addressed tasks, each
+/// evaluated independently, whose completed outcomes checkpoint as one
+/// snapshot line apiece. [`run_campaign`] owns everything else — resume,
+/// scheduling, checkpoint cadence, heartbeats, pool-level panics and the
+/// wall-clock budget.
+///
+/// Task order must be a pure function of the configuration: restored and
+/// fresh tasks interleave by index into the report an uninterrupted run
+/// produces.
+pub trait Campaign: Sync {
+    /// The result of evaluating one task in this process.
+    type Outcome: Send;
+    /// What a checkpoint line restores on resume.
+    type Record;
+
+    /// Snapshot kind: names `<kind>.snapshot` and the heartbeat's
+    /// `"kind"`.
+    fn kind(&self) -> &str;
+    /// Fingerprint of the campaign configuration; a snapshot written
+    /// under a different one is not resumed.
+    fn fingerprint(&self) -> u64;
+    /// Number of tasks.
+    fn tasks(&self) -> usize;
+    /// Evaluate task `task` (runs on a pool worker).
+    fn evaluate(&self, task: usize) -> Self::Outcome;
+    /// The outcome of a task whose evaluation panicked past every
+    /// per-case guard: the crash becomes a row, not an abort.
+    fn panicked(&self, task: usize, payload: String) -> Self::Outcome;
+    /// The checkpoint line for a completed task, or `None` to leave it
+    /// out of the snapshot (it re-runs on resume).
+    fn checkpoint_line(&self, task: usize, outcome: &Self::Outcome) -> Option<String>;
+    /// Decode a checkpoint line into `(task, record)`; `None` marks the
+    /// line malformed, and its task re-runs.
+    fn restore(&self, line: &str) -> Option<(usize, Self::Record)>;
+}
+
+/// What became of one task in [`run_campaign`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TaskResult<R, O> {
+    /// Restored from the checkpoint without re-evaluating.
+    Restored(R),
+    /// Evaluated by this process (a pool-level panic included).
+    Fresh(O),
+    /// Never started: the wall-clock budget expired first.
+    Truncated,
+}
+
+impl<T> TaskResult<T, T> {
+    /// The restored or fresh value of a campaign whose records are its
+    /// outcomes; `None` when truncated.
+    pub fn done(self) -> Option<T> {
+        match self {
+            TaskResult::Restored(t) | TaskResult::Fresh(t) => Some(t),
+            TaskResult::Truncated => None,
+        }
+    }
+}
+
+/// The index-ordered result of [`run_campaign`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CampaignRun<R, O> {
+    /// One result per task, in task order.
+    pub tasks: Vec<TaskResult<R, O>>,
+    /// Tasks left [`TaskResult::Truncated`] by the budget.
+    pub truncated: usize,
+}
+
+impl<R, O> CampaignRun<R, (O, R)> {
+    /// Split a run whose fresh outcomes carry their own record: every
+    /// completed task's record in task order, plus the outcomes this
+    /// process evaluated.
+    pub fn records_and_outcomes(self) -> (Vec<R>, Vec<O>) {
+        let mut records = Vec::with_capacity(self.tasks.len());
+        let mut outcomes = Vec::new();
+        for task in self.tasks {
+            match task {
+                TaskResult::Restored(record) => records.push(record),
+                TaskResult::Fresh((outcome, record)) => {
+                    records.push(record);
+                    outcomes.push(outcome);
+                }
+                TaskResult::Truncated => {}
+            }
+        }
+        (records, outcomes)
+    }
+}
+
+/// Run `campaign` on the work-stealing pool under `runtime`'s
+/// crash-proofing options:
+///
+/// 1. on `--resume`, load the newest valid snapshot ([`load_latest`]),
+///    print its warnings, and restore every line that decodes (a line
+///    that does not is reported and its task re-runs);
+/// 2. evaluate the pending tasks with [`run_stealing_observed`] until the
+///    budget's deadline, saving the snapshot and `status.json` heartbeat
+///    every [`RuntimeOptions::effective_every`] completions;
+/// 3. turn a pool-level [`WorkerPanic`] into [`Campaign::panicked`]'s
+///    outcome, count the truncated tasks, and save a final snapshot and
+///    heartbeat.
+///
+/// Snapshot lines are kept per task index, so every save lists them in
+/// task order whatever the completion order was.
+///
+/// [`load_latest`]: crate::snapshot::load_latest
+pub fn run_campaign<C: Campaign>(
+    campaign: &C,
+    workers: usize,
+    runtime: &RuntimeOptions,
+) -> CampaignRun<C::Record, C::Outcome> {
+    let (kind, fingerprint, total) = (campaign.kind(), campaign.fingerprint(), campaign.tasks());
+    let dir = runtime.checkpoint_dir.as_deref();
+    let mut tasks: Vec<TaskResult<C::Record, C::Outcome>> = Vec::new();
+    tasks.resize_with(total, || TaskResult::Truncated);
+    let mut lines: Vec<Option<String>> = vec![None; total];
+    if let (true, Some(dir)) = (runtime.resume, dir) {
+        let loaded = snapshot::load_latest(dir, kind, fingerprint);
+        for w in &loaded.warnings {
+            eprintln!("warning: {w}");
+        }
+        for line in loaded.lines.unwrap_or_default() {
+            match campaign.restore(&line) {
+                Some((task, record)) if task < total => {
+                    tasks[task] = TaskResult::Restored(record);
+                    lines[task] = Some(line);
+                }
+                _ => eprintln!("warning: ignoring malformed {kind} checkpoint line"),
+            }
+        }
+    }
+    let pending: Vec<usize> = (0..total)
+        .filter(|&t| matches!(tasks[t], TaskResult::Truncated))
+        .collect();
+
+    let save = |lines: &[Option<String>], completed: usize, truncated: bool| {
+        let Some(dir) = dir else { return };
+        let payload: Vec<String> = lines.iter().flatten().cloned().collect();
+        if let Err(e) = snapshot::save(dir, kind, fingerprint, &payload) {
+            eprintln!("warning: failed to write {kind} checkpoint: {e}");
+        }
+        snapshot::write_heartbeat(dir, kind, completed, total, truncated);
+    };
+    let every = runtime.effective_every();
+    let mut completed = total - pending.len();
+    let mut since_save = 0usize;
+    let results = run_stealing_observed(
+        pending.clone(),
+        workers,
+        runtime.deadline(Instant::now()),
+        |_, task| campaign.evaluate(task),
+        |i, result| {
+            completed += 1;
+            if dir.is_none() {
+                return;
+            }
+            let task = pending[i];
+            lines[task] = match result {
+                Ok(outcome) => campaign.checkpoint_line(task, outcome),
+                Err(p) => {
+                    campaign.checkpoint_line(task, &campaign.panicked(task, p.payload.clone()))
+                }
+            };
+            since_save += 1;
+            if since_save >= every {
+                since_save = 0;
+                save(&lines, completed, false);
+            }
+        },
+    );
+
+    let mut truncated = 0usize;
+    for (task, result) in pending.into_iter().zip(results) {
+        match result {
+            Some(Ok(outcome)) => tasks[task] = TaskResult::Fresh(outcome),
+            Some(Err(p)) => tasks[task] = TaskResult::Fresh(campaign.panicked(task, p.payload)),
+            None => truncated += 1,
+        }
+    }
+    save(&lines, total - truncated, truncated > 0);
+    CampaignRun { tasks, truncated }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,5 +501,85 @@ mod tests {
         });
         let got: Vec<usize> = results.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(got, (1..=64).collect::<Vec<_>>());
+    }
+
+    /// Task `t` squares `t`, except task 3, which panics; every outcome
+    /// checkpoints as `<t> <value>`.
+    struct Squares;
+
+    impl Campaign for Squares {
+        type Outcome = i64;
+        type Record = i64;
+
+        fn kind(&self) -> &str {
+            "squares"
+        }
+
+        fn fingerprint(&self) -> u64 {
+            7
+        }
+
+        fn tasks(&self) -> usize {
+            6
+        }
+
+        fn evaluate(&self, task: usize) -> i64 {
+            assert_ne!(task, 3, "task 3 dies");
+            (task * task) as i64
+        }
+
+        fn panicked(&self, _: usize, _: String) -> i64 {
+            -1
+        }
+
+        fn checkpoint_line(&self, task: usize, value: &i64) -> Option<String> {
+            Some(format!("{task} {value}"))
+        }
+
+        fn restore(&self, line: &str) -> Option<(usize, i64)> {
+            let (task, value) = line.split_once(' ')?;
+            Some((task.parse().ok()?, value.parse().ok()?))
+        }
+    }
+
+    #[test]
+    fn campaign_resumes_restored_tasks_and_reruns_the_rest() {
+        let dir = std::env::temp_dir().join(format!("druzhba-campaign-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut runtime = RuntimeOptions {
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every: 2,
+            ..RuntimeOptions::default()
+        };
+        let fresh = run_campaign(&Squares, 2, &runtime);
+        let want = [0, 1, 4, -1, 16, 25].map(TaskResult::Fresh);
+        assert_eq!(fresh.tasks, want, "a pool-level panic becomes a row");
+        assert_eq!(fresh.truncated, 0);
+
+        // Keep two records and add a malformed line: the two restore,
+        // everything else re-runs.
+        let lines = ["1 1", "bogus", "4 16"].map(String::from);
+        snapshot::save(&dir, "squares", 7, &lines).unwrap();
+        runtime.resume = true;
+        let resumed = run_campaign(&Squares, 2, &runtime);
+        let restored = [1, 4].map(|t| resumed.tasks[t].clone());
+        assert_eq!(restored, [1, 16].map(TaskResult::Restored));
+        assert_eq!(resumed.tasks[5], TaskResult::Fresh(25));
+        let saved = snapshot::load_latest(&dir, "squares", 7).lines.unwrap();
+        assert_eq!(saved, ["0 0", "1 1", "2 4", "3 -1", "4 16", "5 25"]);
+        let status = std::fs::read_to_string(dir.join("status.json")).unwrap();
+        assert!(status.contains("\"completed\": 6"), "{status}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn campaign_with_a_spent_budget_truncates_every_task() {
+        let runtime = RuntimeOptions {
+            budget_secs: Some(0),
+            ..RuntimeOptions::default()
+        };
+        let run = run_campaign(&Squares, 2, &runtime);
+        assert_eq!(run.truncated, 6);
+        assert!(run.tasks.iter().all(|t| *t == TaskResult::Truncated));
     }
 }

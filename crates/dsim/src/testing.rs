@@ -14,14 +14,14 @@
 //! *assertion failures between the pipeline output trace and the
 //! specification's output trace*.
 
-use std::time::Instant;
-
 use druzhba_core::trace::TraceMismatch;
 use druzhba_core::{Error, MachineCode, Phv, Trace, Value};
 use druzhba_dgen::{OptLevel, Pipeline, PipelineSpec};
 
 use crate::minimize::{minimize, MinimizeConfig, MinimizedCounterExample};
-use crate::runtime::{catch_silent, run_stealing, run_stealing_observed, RuntimeOptions};
+use crate::runtime::{
+    catch_silent, run_campaign, run_stealing, Campaign, RuntimeOptions, TaskResult,
+};
 use crate::sim::Simulator;
 use crate::snapshot;
 use crate::traffic::TrafficGenerator;
@@ -201,6 +201,16 @@ pub enum VerdictClass {
 }
 
 impl VerdictClass {
+    /// Every class, in declaration order.
+    pub const ALL: [VerdictClass; 6] = [
+        VerdictClass::Pass,
+        VerdictClass::Incompatible,
+        VerdictClass::LengthMismatch,
+        VerdictClass::ContainerMismatch,
+        VerdictClass::StateMismatch,
+        VerdictClass::BackendPanic,
+    ];
+
     /// Stable snake_case label for machine-readable reports.
     pub fn key(self) -> &'static str {
         match self {
@@ -211,6 +221,11 @@ impl VerdictClass {
             VerdictClass::StateMismatch => "state_mismatch",
             VerdictClass::BackendPanic => "backend_panic",
         }
+    }
+
+    /// Inverse of [`VerdictClass::key`], for checkpoint decoding.
+    pub fn from_key(key: &str) -> Option<VerdictClass> {
+        VerdictClass::ALL.into_iter().find(|c| c.key() == key)
     }
 }
 
@@ -590,142 +605,107 @@ where
         "campaign",
         fingerprint,
         cfg.runs,
+        cfg.base.seed,
         cfg.workers,
         runtime,
-        |run| shard_seed(cfg.base.seed, run as u64),
-        |run| {
-            let mut fuzz_cfg = cfg.base.clone();
-            fuzz_cfg.seed = shard_seed(cfg.base.seed, run as u64);
+        |seed| {
+            let fuzz_cfg = FuzzConfig {
+                seed,
+                ..cfg.base.clone()
+            };
             let mut reference = make_spec();
             fuzz_test(pipeline_spec, mc, opt, &mut reference, &fuzz_cfg)
         },
     )
 }
 
-/// The generic resumable campaign driver shared by the ALU and P4 fuzz
-/// campaigns: evaluate `runs` independent runs on the stealing pool,
-/// checkpointing passed-run records, resuming from snapshots, capturing
-/// per-run backend panics as [`Verdict::BackendPanic`], and honouring the
-/// wall-clock budget.
-///
-/// `seed_of(run)` must return the traffic seed run `run` uses — it
-/// completes the replay recipe when a run panics before producing a
-/// report of its own.
-pub(crate) fn resumable_campaign<F, SeedOf>(
+/// A seeded fuzz campaign as a [`Campaign`]: task `run` is one fuzz run
+/// under traffic seed `shard_seed(base_seed, run)`. Only passes
+/// checkpoint (`pass <run> <phvs> <seed>`); a failed or panicked run
+/// re-runs on resume and re-derives the identical verdict.
+struct FuzzRuns<'a, F> {
+    kind: &'a str,
+    fingerprint: u64,
+    runs: usize,
+    base_seed: u64,
+    eval: F,
+}
+
+impl<F: Fn(u64) -> FuzzReport + Sync> Campaign for FuzzRuns<'_, F> {
+    type Outcome = FuzzReport;
+    type Record = FuzzReport;
+
+    fn kind(&self) -> &str {
+        self.kind
+    }
+
+    fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    fn tasks(&self) -> usize {
+        self.runs
+    }
+
+    fn evaluate(&self, run: usize) -> FuzzReport {
+        (self.eval)(shard_seed(self.base_seed, run as u64))
+    }
+
+    fn panicked(&self, run: usize, payload: String) -> FuzzReport {
+        FuzzReport {
+            verdict: Verdict::BackendPanic { payload },
+            phvs_tested: 0,
+            seed: shard_seed(self.base_seed, run as u64),
+            minimized: None,
+        }
+    }
+
+    fn checkpoint_line(&self, run: usize, rep: &FuzzReport) -> Option<String> {
+        rep.passed()
+            .then(|| format!("pass {run} {} {}", rep.phvs_tested, rep.seed))
+    }
+
+    fn restore(&self, line: &str) -> Option<(usize, FuzzReport)> {
+        let mut it = line.strip_prefix("pass ")?.split(' ');
+        let run = it.next()?.parse().ok()?;
+        let phvs_tested = it.next()?.parse().ok()?;
+        let seed = it.next()?.parse().ok()?;
+        let rep = FuzzReport {
+            verdict: Verdict::Pass,
+            phvs_tested,
+            seed,
+            minimized: None,
+        };
+        Some((run, rep))
+    }
+}
+
+/// Run `runs` seeded fuzz runs through [`run_campaign`]: `eval(seed)`
+/// performs one run under its traffic seed. Shared by the ALU and P4
+/// fuzz campaigns.
+pub(crate) fn resumable_campaign<F>(
     kind: &str,
     fingerprint: u64,
     runs: usize,
+    base_seed: u64,
     workers: usize,
     runtime: &RuntimeOptions,
-    seed_of: SeedOf,
     eval: F,
 ) -> CampaignReport
 where
-    F: Fn(usize) -> FuzzReport + Sync,
-    SeedOf: Fn(usize) -> u64,
+    F: Fn(u64) -> FuzzReport + Sync,
 {
-    let mut done: Vec<Option<FuzzReport>> = vec![None; runs];
-    if runtime.resume {
-        if let Some(dir) = &runtime.checkpoint_dir {
-            let loaded = snapshot::load_latest(dir, kind, fingerprint);
-            for w in &loaded.warnings {
-                eprintln!("warning: checkpoint {w}");
-            }
-            for line in loaded.lines.unwrap_or_default() {
-                // "pass <run> <phvs> <seed>" — only passes are recorded;
-                // anything else re-runs deterministically.
-                let mut it = line.split(' ');
-                if it.next() != Some("pass") {
-                    continue;
-                }
-                let (Some(run), Some(phvs), Some(seed)) = (
-                    it.next().and_then(|t| t.parse::<usize>().ok()),
-                    it.next().and_then(|t| t.parse::<usize>().ok()),
-                    it.next().and_then(|t| t.parse::<u64>().ok()),
-                ) else {
-                    continue;
-                };
-                if run < runs {
-                    done[run] = Some(FuzzReport {
-                        verdict: Verdict::Pass,
-                        phvs_tested: phvs,
-                        seed,
-                        minimized: None,
-                    });
-                }
-            }
-        }
-    }
-
-    let resumed = done.iter().filter(|d| d.is_some()).count();
-    let pending: Vec<usize> = (0..runs).filter(|&r| done[r].is_none()).collect();
-    let deadline = runtime.deadline(Instant::now());
-    let every = runtime.effective_every();
-
-    let mut pass_lines: Vec<(usize, String)> = done
-        .iter()
-        .enumerate()
-        .filter_map(|(run, d)| {
-            d.as_ref()
-                .map(|rep| (run, format!("pass {run} {} {}", rep.phvs_tested, rep.seed)))
-        })
-        .collect();
-    let mut completed = resumed;
-    let mut since_checkpoint = 0usize;
-    let pending_runs = pending.clone();
-    let results = run_stealing_observed(
-        pending,
-        workers,
-        deadline,
-        |_, run| eval(run),
-        |i, res| {
-            completed += 1;
-            if let Ok(rep) = res {
-                if rep.passed() {
-                    let run = pending_runs[i];
-                    pass_lines.push((run, format!("pass {run} {} {}", rep.phvs_tested, rep.seed)));
-                }
-            }
-            since_checkpoint += 1;
-            if since_checkpoint >= every {
-                since_checkpoint = 0;
-                if let Some(dir) = &runtime.checkpoint_dir {
-                    pass_lines.sort_unstable_by_key(|(run, _)| *run);
-                    let lines: Vec<String> = pass_lines.iter().map(|(_, l)| l.clone()).collect();
-                    if let Err(e) = snapshot::save(dir, kind, fingerprint, &lines) {
-                        eprintln!("warning: checkpoint save failed: {e}");
-                    }
-                    snapshot::write_heartbeat(dir, kind, completed, runs, false);
-                }
-            }
-        },
-    );
-
-    for (i, slot) in results.into_iter().enumerate() {
-        let run = pending_runs[i];
-        done[run] = match slot {
-            Some(Ok(rep)) => Some(rep),
-            Some(Err(p)) => Some(FuzzReport {
-                verdict: Verdict::BackendPanic { payload: p.payload },
-                phvs_tested: 0,
-                seed: seed_of(run),
-                minimized: None,
-            }),
-            None => None,
-        };
-    }
-    let truncated = done.iter().filter(|d| d.is_none()).count();
-    if let Some(dir) = &runtime.checkpoint_dir {
-        pass_lines.sort_unstable_by_key(|(run, _)| *run);
-        let lines: Vec<String> = pass_lines.iter().map(|(_, l)| l.clone()).collect();
-        if let Err(e) = snapshot::save(dir, kind, fingerprint, &lines) {
-            eprintln!("warning: checkpoint save failed: {e}");
-        }
-        snapshot::write_heartbeat(dir, kind, runs - truncated, runs, truncated > 0);
-    }
+    let campaign = FuzzRuns {
+        kind,
+        fingerprint,
+        runs,
+        base_seed,
+        eval,
+    };
+    let run = run_campaign(&campaign, workers, runtime);
     CampaignReport {
-        runs: done.into_iter().flatten().collect(),
-        truncated,
+        runs: run.tasks.into_iter().filter_map(TaskResult::done).collect(),
+        truncated: run.truncated,
     }
 }
 

@@ -31,17 +31,18 @@
 //! clean per-program boundary.
 
 use std::fmt::Write as _;
-use std::path::Path;
-use std::time::Instant;
 
 use druzhba_chipmunk::{compile, CompiledSpec, CompilerConfig};
+use druzhba_core::diag::json_string;
 use druzhba_dgen::OptLevel;
 use druzhba_domino::DominoProgram;
 use druzhba_dsim::fault::{Fault, FaultInjector, FaultKind};
-use druzhba_dsim::runtime::{catch_silent, run_stealing_observed, RuntimeOptions};
+use druzhba_dsim::runtime::{catch_silent, run_campaign, Campaign, RuntimeOptions, TaskResult};
 use druzhba_dsim::snapshot;
 use druzhba_dsim::testing::{fuzz_test, shard_seed, FuzzConfig, VerdictClass};
 use druzhba_progen::{generate_domino_at, minimize_program, program_size, GeneratedDomino};
+
+use crate::hunt::fault_json;
 
 /// Salt mixed into the campaign seed for per-program task seeds
 /// (`"GENH"`), keeping traffic seeds independent of the candidate-seed
@@ -246,7 +247,6 @@ impl GenHuntReport {
     }
 
     /// Render the campaign as a JSON document (schema: DESIGN.md §13).
-    /// Hand-written — the vendored `serde` is a no-op stand-in.
     pub fn to_json(&self) -> String {
         let cfg = &self.config;
         let mut s = String::new();
@@ -295,12 +295,6 @@ impl GenHuntReport {
     }
 }
 
-fn esc(raw: &str) -> String {
-    raw.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
 /// Run a generated-program campaign. Deterministic: the report is a pure
 /// function of the configuration, independent of worker count.
 pub fn genhunt(cfg: &GenHuntConfig) -> Result<GenHuntReport, String> {
@@ -311,7 +305,6 @@ pub fn genhunt(cfg: &GenHuntConfig) -> Result<GenHuntReport, String> {
         return Err("--generate needs a nonzero program count".into());
     }
 
-    let total = cfg.count as usize;
     let fingerprint = snapshot::fingerprint_of(&[
         "genhunt".to_string(),
         format!(
@@ -322,40 +315,52 @@ pub fn genhunt(cfg: &GenHuntConfig) -> Result<GenHuntReport, String> {
             }
         ),
     ]);
+    let run = run_campaign(&GenTasks { cfg, fingerprint }, cfg.workers, &cfg.runtime);
+    Ok(GenHuntReport {
+        truncated: run.truncated,
+        records: run.tasks.into_iter().filter_map(TaskResult::done).collect(),
+        config: cfg.clone(),
+    })
+}
 
-    // Resume: restore completed sweeps by program index.
-    let mut slots: Vec<Option<GenRecord>> = vec![None; total];
-    if cfg.runtime.resume {
-        if let Some(dir) = cfg.runtime.checkpoint_dir.as_deref() {
-            let loaded = snapshot::load_latest(dir, "genhunt", fingerprint);
-            for w in &loaded.warnings {
-                eprintln!("warning: {w}");
-            }
-            for line in loaded.lines.unwrap_or_default() {
-                match parse_record_line(&line) {
-                    Some(record) if (record.index as usize) < total => {
-                        let slot = record.index as usize;
-                        slots[slot] = Some(record);
-                    }
-                    _ => eprintln!("warning: ignoring malformed genhunt checkpoint line"),
-                }
-            }
-        }
+/// The generated-program sweep as a resumable [`Campaign`]: task `i`
+/// generates and sweeps program `i`, checkpointed as its [`GenRecord`]
+/// line.
+struct GenTasks<'a> {
+    cfg: &'a GenHuntConfig,
+    fingerprint: u64,
+}
+
+impl Campaign for GenTasks<'_> {
+    type Outcome = GenRecord;
+    type Record = GenRecord;
+
+    fn kind(&self) -> &str {
+        "genhunt"
     }
-    let pending: Vec<u64> = (0..cfg.count)
-        .filter(|&i| slots[i as usize].is_none())
-        .collect();
 
-    let deadline = cfg.runtime.deadline(Instant::now());
-    let every = cfg.runtime.effective_every();
-    let ckpt_dir = cfg.runtime.checkpoint_dir.clone();
+    fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
 
-    // A worker that dies at the pool level (generation or synthesis
-    // panicking past the per-case guards) still yields a row.
-    let death_record = |index: u64, payload: &str| -> GenRecord {
+    fn tasks(&self) -> usize {
+        self.cfg.count as usize
+    }
+
+    fn evaluate(&self, index: usize) -> GenRecord {
+        sweep_program(self.cfg, index as u64)
+    }
+
+    /// Generation or synthesis panicked past the per-case guards.
+    fn panicked(&self, index: usize, payload: String) -> GenRecord {
+        let name = format!("gen_{:016x}_{index}", self.cfg.seed);
         GenRecord {
-            index,
-            name: format!("gen_{:016x}_{index}", cfg.seed),
+            index: index as u64,
+            json: format!(
+                "    {{\"name\": \"{name}\", \"index\": {index}, \"panic\": {}}}",
+                json_string(&payload)
+            ),
+            name,
             grid: "?".to_string(),
             rejected: 0,
             alarming: 0,
@@ -364,62 +369,15 @@ pub fn genhunt(cfg: &GenHuntConfig) -> Result<GenHuntReport, String> {
             faults_detected: 0,
             minimized: 0,
             panicked: true,
-            json: format!(
-                "    {{\"name\": \"gen_{:016x}_{index}\", \"index\": {index}, \
-                 \"panic\": \"{}\"}}",
-                cfg.seed,
-                esc(payload)
-            ),
         }
-    };
-
-    let mut since_save = 0usize;
-    let results = {
-        let slots = &mut slots;
-        run_stealing_observed(
-            pending.clone(),
-            cfg.workers,
-            deadline,
-            |_, index| sweep_program(cfg, index),
-            |i, result| {
-                let index = pending[i];
-                slots[index as usize] = Some(match result {
-                    Ok(record) => record.clone(),
-                    Err(p) => death_record(index, &p.payload),
-                });
-                since_save += 1;
-                if since_save >= every {
-                    since_save = 0;
-                    if let Some(dir) = ckpt_dir.as_deref() {
-                        save_records(dir, fingerprint, slots);
-                        let completed = slots.iter().flatten().count();
-                        snapshot::write_heartbeat(dir, "genhunt", completed, total, false);
-                    }
-                }
-            },
-        )
-    };
-
-    let truncated = results.iter().filter(|r| r.is_none()).count();
-    if let Some(dir) = ckpt_dir.as_deref() {
-        save_records(dir, fingerprint, &slots);
-        let completed = slots.iter().flatten().count();
-        snapshot::write_heartbeat(dir, "genhunt", completed, total, truncated > 0);
     }
 
-    let records: Vec<GenRecord> = slots.into_iter().flatten().collect();
-    Ok(GenHuntReport {
-        records,
-        truncated,
-        config: cfg.clone(),
-    })
-}
+    fn checkpoint_line(&self, _: usize, record: &GenRecord) -> Option<String> {
+        Some(record_line(record))
+    }
 
-/// Write every completed record to the campaign snapshot.
-fn save_records(dir: &Path, fingerprint: u64, slots: &[Option<GenRecord>]) {
-    let lines: Vec<String> = slots.iter().flatten().map(record_line).collect();
-    if let Err(e) = snapshot::save(dir, "genhunt", fingerprint, &lines) {
-        eprintln!("warning: failed to write genhunt checkpoint: {e}");
+    fn restore(&self, line: &str) -> Option<(usize, GenRecord)> {
+        parse_record_line(line).map(|r| (r.index as usize, r))
     }
 }
 
@@ -625,41 +583,18 @@ fn reproduces(
     verdict.class() == d.verdict
 }
 
-fn fault_json(fault: &Fault) -> String {
-    match fault {
-        Fault::RemovedPair { name } => {
-            format!(
-                "{{\"kind\": \"removed_pair\", \"name\": \"{}\"}}",
-                esc(name)
-            )
-        }
-        Fault::MutatedValue { name, old, new } => format!(
-            "{{\"kind\": \"mutated_value\", \"name\": \"{}\", \"old\": {old}, \"new\": {new}}}",
-            esc(name)
-        ),
-        Fault::OutOfRangeValue { name, new } => format!(
-            "{{\"kind\": \"out_of_range_value\", \"name\": \"{}\", \"new\": {new}}}",
-            esc(name)
-        ),
-        Fault::HostileTrap { name, old } => format!(
-            "{{\"kind\": \"hostile_trap\", \"name\": \"{}\", \"old\": {old}}}",
-            esc(name)
-        ),
-    }
-}
-
 /// Render one program's JSON row.
 fn program_json(g: &GeneratedDomino, clean: &[Divergence], faults: &[FaultRow]) -> String {
     let mut s = String::new();
     let _ = write!(
         s,
         "    {{\"name\": \"{}\", \"index\": {}, \"grid\": \"{}\", \"atom\": \"{}\", \
-         \"recipe\": \"{}\", \"rejected\": {}, ",
+         \"recipe\": {}, \"rejected\": {}, ",
         g.name,
         g.index,
         g.grid,
         g.grid.atom,
-        esc(&g.recipe()),
+        json_string(&g.recipe()),
         g.rejects.total()
     );
     let clean_rows: Vec<String> = clean
@@ -698,11 +633,11 @@ fn program_json(g: &GeneratedDomino, clean: &[Divergence], faults: &[FaultRow]) 
                     let _ = write!(
                         row,
                         "\"minimized\": {{\"size_before\": {}, \"size_after\": {}, \
-                         \"checks\": {}, \"source\": \"{}\"}}}}",
+                         \"checks\": {}, \"source\": {}}}}}",
                         m.size_before,
                         m.size_after,
                         m.checks,
-                        esc(&m.source)
+                        json_string(&m.source)
                     );
                 }
                 None => {

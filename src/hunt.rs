@@ -17,8 +17,8 @@
 //! 3. every mutant is evaluated on every requested [`OptLevel`] backend —
 //!    fresh seeded fuzzing first, then the witness seed, then bounded
 //!    exhaustive verification — scheduled over the panic-isolated
-//!    work-stealing pool (`run_stealing_observed`, the same scheduler
-//!    behind `fuzz_campaign`);
+//!    work-stealing pool by the resumable `run_campaign` driver (the same
+//!    one behind `fuzz_campaign`);
 //! 4. every divergence is delta-debugged against the known-good baseline
 //!    ([`minimize_fault`]) so the report carries the essential machine-code
 //!    edits and a minimized reproducing input, not a raw 2000-packet dump.
@@ -41,18 +41,17 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::Path;
-use std::time::Instant;
 
 use druzhba_analysis::{flag_mutant, symbolic_equivalent, StaticFlag};
 use druzhba_chipmunk::CompiledProgram;
+use druzhba_core::diag::json_string;
 use druzhba_core::Trace;
 use druzhba_dgen::OptLevel;
 use druzhba_dsim::fault::{Fault, FaultInjector, FaultKind};
 use druzhba_dsim::minimize::{minimize_fault, MinimizeConfig, MinimizedCounterExample};
-use druzhba_dsim::runtime::{catch_silent, run_stealing_observed, RuntimeOptions};
+use druzhba_dsim::runtime::{catch_silent, run_campaign, Campaign, RuntimeOptions};
 use druzhba_dsim::snapshot;
-use druzhba_dsim::testing::{fuzz_test, shard_seed, FuzzConfig, Verdict};
+use druzhba_dsim::testing::{fuzz_test, shard_seed, FuzzConfig, Verdict, VerdictClass};
 use druzhba_dsim::verify::{verify_bounded, VerifyConfig, VerifyOutcome};
 use druzhba_dsim::TrafficGenerator;
 use druzhba_programs::{by_name, ProgramDef, PROGRAMS};
@@ -145,6 +144,9 @@ pub enum Detection {
     Undetected,
 }
 
+/// Every [`detector_key`], for checkpoint decoding.
+const DETECTORS: [&str; 5] = ["fuzz", "witness", "verify", "panic", "none"];
+
 /// Stable snake_case key for a [`Detection`] (report + checkpoint codec).
 fn detector_key(d: &Detection) -> &'static str {
     match d {
@@ -221,9 +223,9 @@ pub struct EvalRecord {
     pub json: String,
 }
 
-/// Project a fresh evaluation onto its checkpoint-stable record.
-fn record_of(o: &MutantOutcome) -> EvalRecord {
-    EvalRecord {
+/// Pair a fresh evaluation with its checkpoint-stable record.
+fn with_record(o: MutantOutcome) -> (MutantOutcome, EvalRecord) {
+    let record = EvalRecord {
         program: o.program.to_string(),
         fault_kind: o.fault.kind(),
         level: o.level,
@@ -231,8 +233,9 @@ fn record_of(o: &MutantOutcome) -> EvalRecord {
         static_flag: o.static_flag,
         verdict_class: o.verdict.as_ref().map_or("pass", |v| v.class().key()),
         executions: o.executions,
-        json: mutant_json(o),
-    }
+        json: mutant_json(&o),
+    };
+    (o, record)
 }
 
 /// One checkpoint line: tab-separated keys, the JSON row last (it is the
@@ -257,10 +260,11 @@ fn parse_record_line(line: &str) -> Option<(usize, EvalRecord)> {
     let idx = parts.next()?.parse().ok()?;
     let program = parts.next()?.to_string();
     let fault_kind = FaultKind::from_key(parts.next()?)?;
-    let level = opt_level_from_key(parts.next()?)?;
-    let detector = detector_from_key(parts.next()?)?;
-    let static_flag = static_flag_from_label(parts.next()?)?;
-    let verdict_class = verdict_class_from_key(parts.next()?)?;
+    let level = OptLevel::from_key(parts.next()?)?;
+    let detector = parts.next()?;
+    let detector = DETECTORS.into_iter().find(|k| *k == detector)?;
+    let static_flag = StaticFlag::from_label(parts.next()?)?;
+    let verdict_class = VerdictClass::from_key(parts.next()?)?.key();
     let executions = parts.next()?.parse().ok()?;
     let json = parts.next()?.to_string();
     Some((
@@ -276,40 +280,6 @@ fn parse_record_line(line: &str) -> Option<(usize, EvalRecord)> {
             json,
         },
     ))
-}
-
-fn opt_level_from_key(key: &str) -> Option<OptLevel> {
-    OptLevel::ALL.into_iter().find(|l| l.key() == key)
-}
-
-fn detector_from_key(key: &str) -> Option<&'static str> {
-    ["fuzz", "witness", "verify", "panic", "none"]
-        .into_iter()
-        .find(|k| *k == key)
-}
-
-fn static_flag_from_label(label: &str) -> Option<StaticFlag> {
-    [
-        StaticFlag::Structural,
-        StaticFlag::Abstract,
-        StaticFlag::Symbolic,
-        StaticFlag::Unflagged,
-    ]
-    .into_iter()
-    .find(|f| f.label() == label)
-}
-
-fn verdict_class_from_key(key: &str) -> Option<&'static str> {
-    [
-        "pass",
-        "incompatible",
-        "length_mismatch",
-        "container_mismatch",
-        "state_mismatch",
-        "backend_panic",
-    ]
-    .into_iter()
-    .find(|k| *k == key)
 }
 
 /// Aggregate result of a hunt campaign.
@@ -413,7 +383,6 @@ impl HuntReport {
     }
 
     /// Render the campaign as a JSON document (schema: DESIGN.md §7).
-    /// Hand-written — the vendored `serde` is a no-op stand-in.
     pub fn to_json(&self) -> String {
         let cfg = &self.config;
         let mut s = String::new();
@@ -483,33 +452,33 @@ impl HuntReport {
     }
 }
 
-fn esc(raw: &str) -> String {
-    raw.replace('\\', "\\\\").replace('"', "\\\"")
+/// The `"fault"` object of a report row (shared with the generated-program
+/// campaign's rows).
+pub(crate) fn fault_json(fault: &Fault) -> String {
+    match fault {
+        Fault::RemovedPair { name } => format!(
+            "{{\"kind\": \"removed_pair\", \"name\": {}}}",
+            json_string(name)
+        ),
+        Fault::MutatedValue { name, old, new } => format!(
+            "{{\"kind\": \"mutated_value\", \"name\": {}, \"old\": {old}, \"new\": {new}}}",
+            json_string(name)
+        ),
+        Fault::OutOfRangeValue { name, new } => format!(
+            "{{\"kind\": \"out_of_range_value\", \"name\": {}, \"new\": {new}}}",
+            json_string(name)
+        ),
+        Fault::HostileTrap { name, old } => format!(
+            "{{\"kind\": \"hostile_trap\", \"name\": {}, \"old\": {old}}}",
+            json_string(name)
+        ),
+    }
 }
 
 fn mutant_json(o: &MutantOutcome) -> String {
     let mut s = String::new();
     let _ = write!(s, "    {{\"program\": \"{}\", ", o.program);
-    let fault = match &o.fault {
-        Fault::RemovedPair { name } => {
-            format!(
-                "{{\"kind\": \"removed_pair\", \"name\": \"{}\"}}",
-                esc(name)
-            )
-        }
-        Fault::MutatedValue { name, old, new } => format!(
-            "{{\"kind\": \"mutated_value\", \"name\": \"{}\", \"old\": {old}, \"new\": {new}}}",
-            esc(name)
-        ),
-        Fault::OutOfRangeValue { name, new } => format!(
-            "{{\"kind\": \"out_of_range_value\", \"name\": \"{}\", \"new\": {new}}}",
-            esc(name)
-        ),
-        Fault::HostileTrap { name, old } => format!(
-            "{{\"kind\": \"hostile_trap\", \"name\": \"{}\", \"old\": {old}}}",
-            esc(name)
-        ),
-    };
+    let fault = fault_json(&o.fault);
     let _ = write!(s, "\"fault\": {fault}, \"level\": \"{}\", ", o.level.key());
     let _ = write!(s, "\"static_flag\": \"{}\", ", o.static_flag.label());
     match &o.detection {
@@ -556,8 +525,8 @@ fn mutant_json(o: &MutantOutcome) -> String {
                         .iter()
                         .map(|e| {
                             format!(
-                                "{{\"name\": \"{}\", \"good\": {}, \"bad\": {}}}",
-                                esc(&e.name),
+                                "{{\"name\": {}, \"good\": {}, \"bad\": {}}}",
+                                json_string(&e.name),
                                 e.good.map_or("null".to_string(), |v| v.to_string()),
                                 e.bad.map_or("null".to_string(), |v| v.to_string()),
                             )
@@ -567,9 +536,9 @@ fn mutant_json(o: &MutantOutcome) -> String {
                 }
             };
             let mismatch = match &mce.verdict {
-                Verdict::Mismatch(m) => format!("\"{}\"", esc(&m.to_string())),
-                Verdict::Incompatible(e) => format!("\"{}\"", esc(&e.to_string())),
-                Verdict::BackendPanic { payload } => format!("\"{}\"", esc(payload)),
+                Verdict::Mismatch(m) => json_string(&m.to_string()),
+                Verdict::Incompatible(e) => json_string(&e.to_string()),
+                Verdict::BackendPanic { payload } => json_string(payload),
                 Verdict::Pass => "null".to_string(),
             };
             let _ = write!(
@@ -728,7 +697,6 @@ pub fn hunt(cfg: &HuntConfig) -> Result<HuntReport, String> {
         .enumerate()
         .flat_map(|(mi, _)| cfg.levels.iter().map(move |&l| (mi, l)))
         .collect();
-    let total = tasks.len();
     let fingerprint = snapshot::fingerprint_of(&[
         "hunt".to_string(),
         format!(
@@ -739,105 +707,17 @@ pub fn hunt(cfg: &HuntConfig) -> Result<HuntReport, String> {
             }
         ),
     ]);
-
-    // Resume: restore completed evaluations by task index; anything the
-    // snapshot does not cover (or covers malformedly) is re-evaluated.
-    let mut slots: Vec<Option<EvalRecord>> = vec![None; total];
-    if cfg.runtime.resume {
-        if let Some(dir) = cfg.runtime.checkpoint_dir.as_deref() {
-            let loaded = snapshot::load_latest(dir, "hunt", fingerprint);
-            for w in &loaded.warnings {
-                eprintln!("warning: {w}");
-            }
-            for line in loaded.lines.unwrap_or_default() {
-                match parse_record_line(&line) {
-                    Some((idx, record)) if idx < total => slots[idx] = Some(record),
-                    _ => eprintln!("warning: ignoring malformed hunt checkpoint line"),
-                }
-            }
-        }
-    }
-    let pending: Vec<(usize, usize, OptLevel)> = tasks
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| slots[*i].is_none())
-        .map(|(i, &(mi, level))| (i, mi, level))
-        .collect();
-
-    let deadline = cfg.runtime.deadline(Instant::now());
-    let every = cfg.runtime.effective_every();
-    let ckpt_dir = cfg.runtime.checkpoint_dir.clone();
-    let mutants = &mutants;
-    let defs = &defs;
-    let compiled = &compiled;
-
-    // A worker that dies at the pool level (a panic escaping the
-    // per-case guards) still yields a per-task row instead of sinking
-    // the campaign: the panic becomes a `Detection::Panic` outcome.
-    let death_outcome = |gi: usize, mi: usize, level: OptLevel, payload: &str| -> MutantOutcome {
-        let mutant: &Mutant = &mutants[mi];
-        MutantOutcome {
-            program: defs[mutant.program].name,
-            fault: mutant.fault.clone(),
-            level,
-            detection: Detection::Panic {
-                seed: shard_seed(shard_seed(cfg.seed ^ 0x4855_4E54, gi as u64), 0),
-            },
-            static_flag: mutant.static_flag,
-            executions: 0,
-            verdict: Some(Verdict::BackendPanic {
-                payload: payload.to_string(),
-            }),
-            minimized: None,
-        }
+    let campaign = HuntTasks {
+        cfg,
+        defs: &defs,
+        compiled: &compiled,
+        mutants: &mutants,
+        tasks,
+        fingerprint,
     };
-
-    let mut since_save = 0usize;
-    let results = {
-        let slots = &mut slots;
-        run_stealing_observed(
-            pending.clone(),
-            cfg.workers,
-            deadline,
-            |_, (gi, mi, level)| evaluate(cfg, defs, compiled, &mutants[mi], level, gi as u64),
-            |i, result| {
-                let (gi, mi, level) = pending[i];
-                slots[gi] = Some(match result {
-                    Ok(outcome) => record_of(outcome),
-                    Err(p) => record_of(&death_outcome(gi, mi, level, &p.payload)),
-                });
-                since_save += 1;
-                if since_save >= every {
-                    since_save = 0;
-                    if let Some(dir) = ckpt_dir.as_deref() {
-                        save_records(dir, fingerprint, slots);
-                        let completed = slots.iter().flatten().count();
-                        snapshot::write_heartbeat(dir, "hunt", completed, total, false);
-                    }
-                }
-            },
-        )
-    };
-
-    // Index-ordered post-pass: structured outcomes for this process's
-    // evaluations, truncation count for budget-expired slots.
-    let mut outcomes: Vec<MutantOutcome> = Vec::new();
-    let mut truncated = 0usize;
-    for (i, result) in results.into_iter().enumerate() {
-        let (gi, mi, level) = pending[i];
-        match result {
-            Some(Ok(outcome)) => outcomes.push(outcome),
-            Some(Err(p)) => outcomes.push(death_outcome(gi, mi, level, &p.payload)),
-            None => truncated += 1,
-        }
-    }
-    if let Some(dir) = ckpt_dir.as_deref() {
-        save_records(dir, fingerprint, &slots);
-        let completed = slots.iter().flatten().count();
-        snapshot::write_heartbeat(dir, "hunt", completed, total, truncated > 0);
-    }
-
-    let records: Vec<EvalRecord> = slots.into_iter().flatten().collect();
+    let run = run_campaign(&campaign, cfg.workers, &cfg.runtime);
+    let truncated = run.truncated;
+    let (records, outcomes) = run.records_and_outcomes();
     Ok(HuntReport {
         records,
         outcomes,
@@ -847,16 +727,69 @@ pub fn hunt(cfg: &HuntConfig) -> Result<HuntReport, String> {
     })
 }
 
-/// Write every completed record to the campaign snapshot (atomic write +
-/// rotation happen inside [`snapshot::save`]).
-fn save_records(dir: &Path, fingerprint: u64, slots: &[Option<EvalRecord>]) {
-    let lines: Vec<String> = slots
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| r.as_ref().map(|r| record_line(i, r)))
-        .collect();
-    if let Err(e) = snapshot::save(dir, "hunt", fingerprint, &lines) {
-        eprintln!("warning: failed to write hunt checkpoint: {e}");
+/// The hunt's evaluation matrix as a resumable [`Campaign`]: task `t` is
+/// one (mutant, level) pair, checkpointed as its [`EvalRecord`] line.
+struct HuntTasks<'a> {
+    cfg: &'a HuntConfig,
+    defs: &'a [&'static ProgramDef],
+    compiled: &'a [CompiledProgram],
+    mutants: &'a [Mutant],
+    tasks: Vec<(usize, OptLevel)>,
+    fingerprint: u64,
+}
+
+impl Campaign for HuntTasks<'_> {
+    type Outcome = (MutantOutcome, EvalRecord);
+    type Record = EvalRecord;
+
+    fn kind(&self) -> &str {
+        "hunt"
+    }
+
+    fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    fn tasks(&self) -> usize {
+        self.tasks.len()
+    }
+
+    fn evaluate(&self, task: usize) -> Self::Outcome {
+        let (mi, level) = self.tasks[task];
+        let mutant = &self.mutants[mi];
+        with_record(evaluate(
+            self.cfg,
+            self.defs,
+            self.compiled,
+            mutant,
+            level,
+            task as u64,
+        ))
+    }
+
+    fn panicked(&self, task: usize, payload: String) -> Self::Outcome {
+        let (mi, level) = self.tasks[task];
+        let mutant = &self.mutants[mi];
+        with_record(MutantOutcome {
+            program: self.defs[mutant.program].name,
+            fault: mutant.fault.clone(),
+            level,
+            detection: Detection::Panic {
+                seed: shard_seed(shard_seed(self.cfg.seed ^ 0x4855_4E54, task as u64), 0),
+            },
+            static_flag: mutant.static_flag,
+            executions: 0,
+            verdict: Some(Verdict::BackendPanic { payload }),
+            minimized: None,
+        })
+    }
+
+    fn checkpoint_line(&self, task: usize, (_, record): &Self::Outcome) -> Option<String> {
+        Some(record_line(task, record))
+    }
+
+    fn restore(&self, line: &str) -> Option<(usize, EvalRecord)> {
+        parse_record_line(line)
     }
 }
 
@@ -1122,4 +1055,47 @@ pub fn replay(
         Some(&comp.observable_containers()),
         &comp.state_cells,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn mutant_row_escapes_control_characters_in_a_panic_payload() {
+        let payload = "assertion `left == right` failed\n  left: \"a\"\n\tright: 1";
+        let outcome = MutantOutcome {
+            program: "sampling",
+            fault: Fault::HostileTrap {
+                name: "const_0\t\"x\"".to_string(),
+                old: 3,
+            },
+            level: OptLevel::Fused,
+            detection: Detection::Verify,
+            static_flag: StaticFlag::Unflagged,
+            executions: 1,
+            verdict: Some(Verdict::BackendPanic {
+                payload: payload.to_string(),
+            }),
+            minimized: Some(MinimizedCounterExample {
+                input: Trace::from_phvs(Vec::new()),
+                verdict: Verdict::BackendPanic {
+                    payload: payload.to_string(),
+                },
+                original_packets: 1,
+                essential_edits: None,
+                checks: 1,
+            }),
+        };
+        let row = mutant_json(&outcome);
+        assert!(
+            !row.chars().any(char::is_control),
+            "raw control char: {row}"
+        );
+        assert!(
+            row.contains(r#"failed\n  left: \"a\"\n\tright: 1""#),
+            "{row}"
+        );
+        assert!(row.contains(r#""name": "const_0\t\"x\"""#), "{row}");
+    }
 }

@@ -33,6 +33,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use druzhba::chipmunk::{compile, CompiledProgram, CompiledSpec, CompilerConfig};
+use druzhba::core::diag::json_string;
 use druzhba::dgen::emit::emit_pipeline;
 use druzhba::dgen::mat::emit_mat_pipeline;
 use druzhba::dgen::OptLevel;
@@ -61,6 +62,10 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    if args.iter().any(|a| a == "-h" || a == "--help") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let result = match command.as_str() {
         "compile" => cmd_compile(&args[1..]),
         "fuzz" => cmd_fuzz(&args[1..]),
@@ -75,7 +80,7 @@ fn main() -> ExitCode {
         "p4-fuzz" => cmd_p4_fuzz(&args[1..]),
         "atoms" => cmd_atoms(),
         "programs" => cmd_programs(),
-        "help" | "--help" | "-h" => {
+        "help" => {
             println!("{USAGE}");
             Ok(())
         }
@@ -162,6 +167,8 @@ USAGE:
                   cross-model check all compose with the generated targets
   druzhba atoms      list the ALU DSL atom library
   druzhba programs   list the Table 1 benchmark programs and the P4 corpus
+  druzhba help       this text (`-h`/`--help` after any command too); every
+                     command rejects a flag it does not take
 
 CRASH-PROOFING (campaign modes of fuzz / hunt / p4-fuzz; docs/FUZZING.md):
   --checkpoint DIR [--every N]   snapshot campaign progress into DIR every N
@@ -180,27 +187,74 @@ struct Args {
     flags: Vec<(String, String)>,
 }
 
+/// Flag groups shared by several subcommands: the Domino grid (`load`),
+/// P4 entries and RMT grid (`load_p4_target`), crash-proofing
+/// (`runtime_options`), greybox tuning (`greybox_config`) and seeded
+/// differential fuzzing.
+const GRID: &str = "depth width atom";
+const P4: &str = "entries stages tables-per-stage";
+const RUNTIME: &str = "checkpoint resume every budget-secs";
+const GREYBOX: &str = "greybox gb-packets gb-max-packets corpus merge-every jobs lanes";
+const FUZZ: &str = "phvs bits seed level runs jobs";
+
+/// The flags each subcommand takes (space-separated groups); any other
+/// flag is an error rather than a silent fall back to its default.
+const FLAGS: &[(&str, &[&str])] = &[
+    ("compile", &[GRID, P4, "o"]),
+    ("fuzz", &[GRID, FUZZ, RUNTIME, GREYBOX, "edit"]),
+    ("verify", &[GRID, "bits packets max-cases lanes level"]),
+    ("emit", &[GRID, P4, "level"]),
+    ("generate", &["count seed index p4 json out"]),
+    (
+        "hunt",
+        &[
+            FUZZ,
+            RUNTIME,
+            "programs mutants verify-bits verify-packets case-budget out",
+            "generate faults minimize-checks",
+        ],
+    ),
+    ("analyze", &[GRID, P4, "json out symbolic"]),
+    (
+        "p4-fuzz",
+        &[
+            FUZZ,
+            P4,
+            RUNTIME,
+            GREYBOX,
+            "generate lint cross-model mutate-entries mutants case-budget out",
+        ],
+    ),
+];
+
 impl Args {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parse `druzhba <command> <args>`, rejecting any flag the
+    /// command's [`FLAGS`] entry does not list.
+    fn parse(command: &str, args: &[String]) -> Result<Self, String> {
+        let accepted = FLAGS
+            .iter()
+            .find(|(c, _)| *c == command)
+            .map_or(&[][..], |(_, groups)| groups);
         let mut file = None;
         let mut flags = Vec::new();
         // Flags that take no value (presence is the signal).
         const BOOLEAN_FLAGS: &[&str] = &["json", "lint", "symbolic", "p4"];
         let mut it = args.iter();
         while let Some(a) = it.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                if BOOLEAN_FLAGS.contains(&key) {
+            if let Some(key) = a.strip_prefix("--").or_else(|| a.strip_prefix('-')) {
+                let dashes = &a[..a.len() - key.len()];
+                if !accepted.iter().any(|g| g.split(' ').any(|f| f == key)) {
+                    return Err(format!(
+                        "unknown flag `{a}` for `druzhba {command}` (see `druzhba --help`)"
+                    ));
+                }
+                if dashes == "--" && BOOLEAN_FLAGS.contains(&key) {
                     flags.push((key.to_string(), "on".to_string()));
                     continue;
                 }
                 let value = it
                     .next()
-                    .ok_or_else(|| format!("flag --{key} needs a value"))?;
-                flags.push((key.to_string(), value.clone()));
-            } else if let Some(key) = a.strip_prefix('-') {
-                let value = it
-                    .next()
-                    .ok_or_else(|| format!("flag -{key} needs a value"))?;
+                    .ok_or_else(|| format!("flag {dashes}{key} needs a value"))?;
                 flags.push((key.to_string(), value.clone()));
             } else if file.is_none() {
                 file = Some(a.clone());
@@ -634,7 +688,7 @@ fn cmd_compile_p4(args: &Args, file: &str) -> Result<(), String> {
 }
 
 fn cmd_p4_fuzz(rest: &[String]) -> Result<(), String> {
-    let args = Args::parse(rest)?;
+    let args = Args::parse("p4-fuzz", rest)?;
     // `--generate N` swaps the corpus/file targets for N freshly
     // generated, TV-vetted P4 workloads; every downstream mode (--lint,
     // plain runs, --mutants, --greybox, cross-model) composes unchanged.
@@ -927,7 +981,7 @@ fn report(compiled: &CompiledProgram) {
 }
 
 fn cmd_compile(rest: &[String]) -> Result<(), String> {
-    let args = Args::parse(rest)?;
+    let args = Args::parse("compile", rest)?;
     if let Some(file) = args.file.clone().filter(|f| is_p4_path(f)) {
         return cmd_compile_p4(&args, &file);
     }
@@ -944,7 +998,7 @@ fn cmd_compile(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_fuzz(rest: &[String]) -> Result<(), String> {
-    let args = Args::parse(rest)?;
+    let args = Args::parse("fuzz", rest)?;
     let (program, compiled) = compile_from(&args)?;
     report(&compiled);
     let num_phvs = args.get_usize("phvs", 50_000)?;
@@ -1086,7 +1140,7 @@ fn cmd_fuzz(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_verify(rest: &[String]) -> Result<(), String> {
-    let args = Args::parse(rest)?;
+    let args = Args::parse("verify", rest)?;
     let (program, compiled) = compile_from(&args)?;
     report(&compiled);
     let bits = args.get_u32("bits", 2)?;
@@ -1174,7 +1228,7 @@ fn cmd_verify(rest: &[String]) -> Result<(), String> {
 /// Program `k` of a seed is a pure function of `(seed, k)`, so the
 /// `--index` flag replays exactly the program a hunt report names.
 fn cmd_generate(rest: &[String]) -> Result<(), String> {
-    let args = Args::parse(rest)?;
+    let args = Args::parse("generate", rest)?;
     if let Some(file) = &args.file {
         return Err(format!(
             "generate takes no positional argument (got `{file}`); \
@@ -1202,13 +1256,13 @@ fn cmd_generate(rest: &[String]) -> Result<(), String> {
                 .map(|g| {
                     format!(
                         "    {{\"name\": \"{}\", \"index\": {}, \"rejected\": {}, \
-                         \"recipe\": \"{}\", \"source\": \"{}\", \"entries\": \"{}\"}}",
+                         \"recipe\": {}, \"source\": {}, \"entries\": {}}}",
                         g.name,
                         g.index,
                         g.rejects.total(),
-                        json_escape(&g.recipe()),
-                        json_escape(&g.source),
-                        json_escape(&g.entries)
+                        json_string(&g.recipe()),
+                        json_string(&g.source),
+                        json_string(&g.entries)
                     )
                 })
                 .collect();
@@ -1237,15 +1291,15 @@ fn cmd_generate(rest: &[String]) -> Result<(), String> {
                 .map(|g| {
                     format!(
                         "    {{\"name\": \"{}\", \"index\": {}, \"grid\": \"{}\", \
-                         \"atom\": \"{}\", \"rejected\": {}, \"recipe\": \"{}\", \
-                         \"source\": \"{}\"}}",
+                         \"atom\": \"{}\", \"rejected\": {}, \"recipe\": {}, \
+                         \"source\": {}}}",
                         g.name,
                         g.index,
                         g.grid,
                         g.grid.atom,
                         g.rejects.total(),
-                        json_escape(&g.recipe()),
-                        json_escape(&g.source)
+                        json_string(&g.recipe()),
+                        json_string(&g.source)
                     )
                 })
                 .collect();
@@ -1284,13 +1338,6 @@ fn cmd_generate(rest: &[String]) -> Result<(), String> {
         None => print!("{out}"),
     }
     Ok(())
-}
-
-/// JSON string escaping for the hand-written `generate --json` rows.
-fn json_escape(raw: &str) -> String {
-    raw.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
 }
 
 /// `druzhba hunt --generate N`: the Gauntlet-style generated-program
@@ -1375,7 +1422,7 @@ fn cmd_genhunt(args: &Args, count: u64) -> Result<(), String> {
 }
 
 fn cmd_hunt(rest: &[String]) -> Result<(), String> {
-    let args = Args::parse(rest)?;
+    let args = Args::parse("hunt", rest)?;
     if let Some(file) = &args.file {
         return Err(format!(
             "hunt runs over the built-in corpus (unexpected argument `{file}`); \
@@ -1475,7 +1522,7 @@ fn cmd_analyze(rest: &[String]) -> Result<ExitCode, String> {
         analyze_compiled, analyze_corpus, analyze_domino_def, analyze_p4_workload, CorpusAnalysis,
     };
 
-    let args = Args::parse(rest)?;
+    let args = Args::parse("analyze", rest)?;
     let symbolic = args.get("symbolic").is_some();
     let analysis = match args.file.as_deref() {
         // No positional: the whole 17-program corpus.
@@ -1534,7 +1581,7 @@ fn cmd_analyze(rest: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_emit(rest: &[String]) -> Result<(), String> {
-    let args = Args::parse(rest)?;
+    let args = Args::parse("emit", rest)?;
     let level = match args.get_usize("level", 2)? {
         0 => OptLevel::Unoptimized,
         1 => OptLevel::Scc,

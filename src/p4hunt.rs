@@ -15,7 +15,7 @@
 //! 3. every surviving mutant is evaluated on every requested
 //!    [`OptLevel`] backend — fresh seeded differential fuzzing first,
 //!    then the witness seed — spread across OS threads by the
-//!    work-stealing [`run_stealing_observed`] scheduler, with the same
+//!    resumable [`run_campaign`] driver, with the same
 //!    crash-proofing as [`crate::hunt`]: per-case panic isolation,
 //!    periodic checkpoints, resume, and wall-clock/per-case budgets
 //!    (DESIGN.md §11);
@@ -30,10 +30,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::Path;
-use std::time::Instant;
 
 use druzhba_analysis::p4_symbolic_entries_equivalent;
+use druzhba_core::diag::json_string;
 use druzhba_core::{Trace, Value};
 use druzhba_dgen::mat::MatPipeline;
 use druzhba_dgen::OptLevel;
@@ -42,9 +41,9 @@ use druzhba_dsim::minimize::MinimizedCounterExample;
 use druzhba_dsim::p4::{
     p4_minimize, run_p4_case, P4Fault, P4FaultInjector, P4FaultKind, P4Traffic, P4Workload,
 };
-use druzhba_dsim::runtime::{run_stealing_observed, RuntimeOptions};
+use druzhba_dsim::runtime::{run_campaign, Campaign, RuntimeOptions};
 use druzhba_dsim::snapshot;
-use druzhba_dsim::testing::{shard_seed, Verdict};
+use druzhba_dsim::testing::{shard_seed, Verdict, VerdictClass};
 use druzhba_p4::deps::build_dag;
 use druzhba_p4::tables::TableEntry;
 use druzhba_programs::{p4_by_name, P4_PROGRAMS};
@@ -119,6 +118,9 @@ pub enum P4Detection {
     Undetected,
 }
 
+/// Every [`detector_key`], for checkpoint decoding.
+const DETECTORS: [&str; 4] = ["fuzz", "witness", "panic", "none"];
+
 /// Stable JSON/snapshot key for a detection.
 fn detector_key(d: &P4Detection) -> &'static str {
     match d {
@@ -180,17 +182,18 @@ pub struct P4EvalRecord {
     pub json: String,
 }
 
-/// Project one outcome into its checkpoint record.
-fn record_of(o: &P4MutantOutcome) -> P4EvalRecord {
-    P4EvalRecord {
+/// Pair one outcome with its checkpoint record.
+fn with_record(o: P4MutantOutcome) -> (P4MutantOutcome, P4EvalRecord) {
+    let record = P4EvalRecord {
         program: o.program.clone(),
         fault_kind: o.fault.kind(),
         level: o.level,
         detector: detector_key(&o.detection),
         verdict_class: o.verdict.as_ref().map_or("pass", |v| v.class().key()),
         executions: o.executions,
-        json: outcome_json(o),
-    }
+        json: outcome_json(&o),
+    };
+    (o, record)
 }
 
 /// One snapshot line per completed task: tab-separated keys, JSON last
@@ -209,43 +212,17 @@ fn record_line(idx: usize, r: &P4EvalRecord) -> String {
     )
 }
 
-fn p4_fault_kind_from_key(key: &str) -> Option<P4FaultKind> {
-    P4FaultKind::ALL.into_iter().find(|k| k.key() == key)
-}
-
-fn opt_level_from_key(key: &str) -> Option<OptLevel> {
-    OptLevel::ALL.into_iter().find(|l| l.key() == key)
-}
-
-fn detector_from_key(key: &str) -> Option<&'static str> {
-    ["fuzz", "witness", "panic", "none"]
-        .into_iter()
-        .find(|k| *k == key)
-}
-
-fn verdict_class_from_key(key: &str) -> Option<&'static str> {
-    [
-        "pass",
-        "incompatible",
-        "length_mismatch",
-        "container_mismatch",
-        "state_mismatch",
-        "backend_panic",
-    ]
-    .into_iter()
-    .find(|k| *k == key)
-}
-
 /// Parse one snapshot line back into `(task_index, record)`; `None` on
 /// any malformed field (the caller re-evaluates that task).
 fn parse_record_line(line: &str) -> Option<(usize, P4EvalRecord)> {
     let mut parts = line.splitn(8, '\t');
     let idx: usize = parts.next()?.parse().ok()?;
     let program = parts.next()?.to_string();
-    let fault_kind = p4_fault_kind_from_key(parts.next()?)?;
-    let level = opt_level_from_key(parts.next()?)?;
-    let detector = detector_from_key(parts.next()?)?;
-    let verdict_class = verdict_class_from_key(parts.next()?)?;
+    let fault_kind = P4FaultKind::from_key(parts.next()?)?;
+    let level = OptLevel::from_key(parts.next()?)?;
+    let detector = parts.next()?;
+    let detector = DETECTORS.into_iter().find(|k| *k == detector)?;
+    let verdict_class = VerdictClass::from_key(parts.next()?)?.key();
     let executions: usize = parts.next()?.parse().ok()?;
     let json = parts.next()?.to_string();
     Some((
@@ -310,8 +287,7 @@ impl P4HuntReport {
         out
     }
 
-    /// Render the campaign as a JSON document (hand-written — the
-    /// vendored `serde` is a no-op stand-in; schema in DESIGN.md §7).
+    /// Render the campaign as a JSON document (schema in DESIGN.md §7).
     pub fn to_json(&self) -> String {
         let cfg = &self.config;
         let mut s = String::new();
@@ -360,17 +336,13 @@ impl P4HuntReport {
     }
 }
 
-fn esc(raw: &str) -> String {
-    raw.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn outcome_json(o: &P4MutantOutcome) -> String {
     let mut s = String::new();
-    let _ = write!(s, "    {{\"program\": \"{}\", ", esc(&o.program));
+    let _ = write!(s, "    {{\"program\": {}, ", json_string(&o.program));
     let fault = match &o.fault {
         P4Fault::RemovedEntry { table, priority } => format!(
-            "{{\"kind\": \"removed_entry\", \"table\": \"{}\", \"priority\": {priority}}}",
-            esc(table)
+            "{{\"kind\": \"removed_entry\", \"table\": {}, \"priority\": {priority}}}",
+            json_string(table)
         ),
         P4Fault::ActionArg {
             table,
@@ -379,9 +351,9 @@ fn outcome_json(o: &P4MutantOutcome) -> String {
             old,
             new,
         } => format!(
-            "{{\"kind\": \"action_arg\", \"table\": \"{}\", \"priority\": {priority}, \
+            "{{\"kind\": \"action_arg\", \"table\": {}, \"priority\": {priority}, \
              \"arg\": {arg}, \"old\": {old}, \"new\": {new}}}",
-            esc(table)
+            json_string(table)
         ),
         P4Fault::MatchValue {
             table,
@@ -390,9 +362,9 @@ fn outcome_json(o: &P4MutantOutcome) -> String {
             old,
             new,
         } => format!(
-            "{{\"kind\": \"match_value\", \"table\": \"{}\", \"priority\": {priority}, \
+            "{{\"kind\": \"match_value\", \"table\": {}, \"priority\": {priority}, \
              \"clause\": {clause}, \"old\": {old}, \"new\": {new}}}",
-            esc(table)
+            json_string(table)
         ),
     };
     let _ = write!(s, "\"fault\": {fault}, \"level\": \"{}\", ", o.level.key());
@@ -535,7 +507,6 @@ pub fn p4_hunt_workloads(cfg: &P4HuntConfig, targets: &[(String, P4Workload)]) -
         .enumerate()
         .flat_map(|(mi, _)| cfg.levels.iter().map(move |&l| (mi, l)))
         .collect();
-    let total = tasks.len();
     let fingerprint = snapshot::fingerprint_of(&[
         "p4-hunt".to_string(),
         format!(
@@ -546,100 +517,16 @@ pub fn p4_hunt_workloads(cfg: &P4HuntConfig, targets: &[(String, P4Workload)]) -
             }
         ),
     ]);
-
-    // Resume: restore completed evaluations by task index.
-    let mut slots: Vec<Option<P4EvalRecord>> = vec![None; total];
-    if cfg.runtime.resume {
-        if let Some(dir) = cfg.runtime.checkpoint_dir.as_deref() {
-            let loaded = snapshot::load_latest(dir, "p4-hunt", fingerprint);
-            for w in &loaded.warnings {
-                eprintln!("warning: {w}");
-            }
-            for line in loaded.lines.unwrap_or_default() {
-                match parse_record_line(&line) {
-                    Some((idx, record)) if idx < total => slots[idx] = Some(record),
-                    _ => eprintln!("warning: ignoring malformed p4-hunt checkpoint line"),
-                }
-            }
-        }
-    }
-    let pending: Vec<(usize, usize, OptLevel)> = tasks
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| slots[*i].is_none())
-        .map(|(i, &(mi, level))| (i, mi, level))
-        .collect();
-
-    let deadline = cfg.runtime.deadline(Instant::now());
-    let every = cfg.runtime.effective_every();
-    let ckpt_dir = cfg.runtime.checkpoint_dir.clone();
-    let mutants = &mutants;
-
-    // A worker that dies at the pool level still yields a per-task row:
-    // the panic becomes a `P4Detection::Panic` outcome.
-    let death_outcome = |gi: usize, mi: usize, level: OptLevel, payload: &str| -> P4MutantOutcome {
-        let mutant: &Mutant = &mutants[mi];
-        P4MutantOutcome {
-            program: targets[mutant.target].0.clone(),
-            fault: mutant.fault.clone(),
-            level,
-            detection: P4Detection::Panic {
-                seed: shard_seed(shard_seed(cfg.seed ^ 0x5034_4855, gi as u64), 0),
-            },
-            executions: 0,
-            verdict: Some(Verdict::BackendPanic {
-                payload: payload.to_string(),
-            }),
-            minimized: None,
-        }
+    let campaign = P4HuntTasks {
+        cfg,
+        targets,
+        mutants: &mutants,
+        tasks,
+        fingerprint,
     };
-
-    let mut since_save = 0usize;
-    let results = {
-        let slots = &mut slots;
-        run_stealing_observed(
-            pending.clone(),
-            cfg.workers,
-            deadline,
-            |_, (gi, mi, level)| evaluate(cfg, targets, &mutants[mi], level, gi as u64),
-            |i, result| {
-                let (gi, mi, level) = pending[i];
-                slots[gi] = Some(match result {
-                    Ok(outcome) => record_of(outcome),
-                    Err(p) => record_of(&death_outcome(gi, mi, level, &p.payload)),
-                });
-                since_save += 1;
-                if since_save >= every {
-                    since_save = 0;
-                    if let Some(dir) = ckpt_dir.as_deref() {
-                        save_records(dir, fingerprint, slots);
-                        let completed = slots.iter().flatten().count();
-                        snapshot::write_heartbeat(dir, "p4-hunt", completed, total, false);
-                    }
-                }
-            },
-        )
-    };
-
-    // Index-ordered post-pass: structured outcomes for this process's
-    // evaluations, truncation count for budget-expired slots.
-    let mut outcomes: Vec<P4MutantOutcome> = Vec::new();
-    let mut truncated = 0usize;
-    for (i, result) in results.into_iter().enumerate() {
-        let (gi, mi, level) = pending[i];
-        match result {
-            Some(Ok(outcome)) => outcomes.push(outcome),
-            Some(Err(p)) => outcomes.push(death_outcome(gi, mi, level, &p.payload)),
-            None => truncated += 1,
-        }
-    }
-    if let Some(dir) = ckpt_dir.as_deref() {
-        save_records(dir, fingerprint, &slots);
-        let completed = slots.iter().flatten().count();
-        snapshot::write_heartbeat(dir, "p4-hunt", completed, total, truncated > 0);
-    }
-
-    let records: Vec<P4EvalRecord> = slots.into_iter().flatten().collect();
+    let run = run_campaign(&campaign, cfg.workers, &cfg.runtime);
+    let truncated = run.truncated;
+    let (records, outcomes) = run.records_and_outcomes();
     P4HuntReport {
         records,
         outcomes,
@@ -649,16 +536,61 @@ pub fn p4_hunt_workloads(cfg: &P4HuntConfig, targets: &[(String, P4Workload)]) -
     }
 }
 
-/// Write every completed record to the campaign snapshot (atomic write +
-/// rotation happen inside [`snapshot::save`]).
-fn save_records(dir: &Path, fingerprint: u64, slots: &[Option<P4EvalRecord>]) {
-    let lines: Vec<String> = slots
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| r.as_ref().map(|r| record_line(i, r)))
-        .collect();
-    if let Err(e) = snapshot::save(dir, "p4-hunt", fingerprint, &lines) {
-        eprintln!("warning: failed to write p4-hunt checkpoint: {e}");
+/// The P4 hunt's evaluation matrix as a resumable [`Campaign`]: task `t`
+/// is one (mutant, level) pair, checkpointed as its [`P4EvalRecord`]
+/// line.
+struct P4HuntTasks<'a> {
+    cfg: &'a P4HuntConfig,
+    targets: &'a [(String, P4Workload)],
+    mutants: &'a [Mutant],
+    tasks: Vec<(usize, OptLevel)>,
+    fingerprint: u64,
+}
+
+impl Campaign for P4HuntTasks<'_> {
+    type Outcome = (P4MutantOutcome, P4EvalRecord);
+    type Record = P4EvalRecord;
+
+    fn kind(&self) -> &str {
+        "p4-hunt"
+    }
+
+    fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    fn tasks(&self) -> usize {
+        self.tasks.len()
+    }
+
+    fn evaluate(&self, task: usize) -> Self::Outcome {
+        let (mi, level) = self.tasks[task];
+        let mutant = &self.mutants[mi];
+        with_record(evaluate(self.cfg, self.targets, mutant, level, task as u64))
+    }
+
+    fn panicked(&self, task: usize, payload: String) -> Self::Outcome {
+        let (mi, level) = self.tasks[task];
+        let mutant = &self.mutants[mi];
+        with_record(P4MutantOutcome {
+            program: self.targets[mutant.target].0.clone(),
+            fault: mutant.fault.clone(),
+            level,
+            detection: P4Detection::Panic {
+                seed: shard_seed(shard_seed(self.cfg.seed ^ 0x5034_4855, task as u64), 0),
+            },
+            executions: 0,
+            verdict: Some(Verdict::BackendPanic { payload }),
+            minimized: None,
+        })
+    }
+
+    fn checkpoint_line(&self, task: usize, (_, record): &Self::Outcome) -> Option<String> {
+        Some(record_line(task, record))
+    }
+
+    fn restore(&self, line: &str) -> Option<(usize, P4EvalRecord)> {
+        parse_record_line(line)
     }
 }
 

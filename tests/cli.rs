@@ -45,6 +45,45 @@ fn unknown_command_fails() {
 }
 
 #[test]
+fn unknown_flag_is_rejected_with_its_name_and_subcommand() {
+    let path = write_sampling();
+    let file = path.to_str().unwrap();
+    for (argv, flag, command) in [
+        (vec!["fuzz", file, "--phv", "100"], "--phv", "druzhba fuzz"),
+        (vec!["hunt", "--mutantz", "1"], "--mutantz", "druzhba hunt"),
+        (vec!["compile", file, "-x", "1"], "-x", "druzhba compile"),
+        (
+            vec!["verify", file, "--phvs", "9"],
+            "--phvs",
+            "druzhba verify",
+        ),
+    ] {
+        let out = druzhba(&argv);
+        assert!(!out.status.success(), "{argv:?} ran");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+        assert!(err.contains(command), "{err}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn help_anywhere_prints_usage_and_succeeds() {
+    for argv in [
+        vec!["--help"],
+        vec!["-h"],
+        vec!["help"],
+        vec!["verify", "--help"],
+        vec!["hunt", "--programs", "sampling", "-h"],
+    ] {
+        let out = druzhba(&argv);
+        assert!(out.status.success(), "{argv:?} failed");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("USAGE"), "{argv:?}: {stdout}");
+    }
+}
+
+#[test]
 fn atoms_lists_the_library() {
     let out = druzhba(&["atoms"]);
     assert!(out.status.success());

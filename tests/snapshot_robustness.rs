@@ -10,6 +10,7 @@ use std::path::PathBuf;
 use druzhba::dsim::runtime::RuntimeOptions;
 use druzhba::dsim::snapshot;
 use druzhba::hunt::{hunt, HuntConfig};
+use druzhba::p4hunt::{p4_hunt_workloads, P4HuntConfig};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -132,4 +133,63 @@ fn zero_wallclock_budget_yields_an_empty_truncated_report() {
         json.contains(&format!("\"truncated\": {}", report.truncated)),
         "{json}"
     );
+}
+
+/// A small P4 hunt over one corpus program, checkpointing after every
+/// completed task when a directory is given.
+fn p4_config(ckpt: Option<PathBuf>, resume: bool) -> P4HuntConfig {
+    P4HuntConfig {
+        mutants_per_class: 1,
+        fuzz_phvs: 300,
+        fuzz_runs: 1,
+        workers: 2,
+        runtime: RuntimeOptions {
+            checkpoint_dir: ckpt,
+            checkpoint_every: 1,
+            resume,
+            budget_secs: None,
+        },
+        ..P4HuntConfig::default()
+    }
+}
+
+#[test]
+fn resumed_p4_hunt_report_is_byte_identical() {
+    let dir = tmpdir("p4-hunt");
+    let def = druzhba::programs::p4_by_name("l2_forward").unwrap();
+    let targets = vec![(def.name.to_string(), def.workload().unwrap())];
+    let clean = p4_hunt_workloads(&p4_config(None, false), &targets);
+    assert!(clean.evaluations() > 1, "too small to split");
+
+    // Checkpointed run, then keep only the first half of the snapshot's
+    // records: resume must restore those verbatim, re-evaluate the rest,
+    // and interleave both into the uninterrupted report.
+    p4_hunt_workloads(&p4_config(Some(dir.clone()), false), &targets);
+    let current = snapshot::current_path(&dir, "p4-hunt");
+    let text = fs::read_to_string(&current).unwrap();
+    let fp_hex = text.lines().nth(1).unwrap().strip_prefix("fingerprint ");
+    let fingerprint = u64::from_str_radix(fp_hex.unwrap(), 16).unwrap();
+    let lines = snapshot::load_latest(&dir, "p4-hunt", fingerprint)
+        .lines
+        .expect("checkpoint validates");
+    assert_eq!(lines.len(), clean.evaluations(), "every task checkpointed");
+    let kept = lines.len() / 2;
+    snapshot::save(&dir, "p4-hunt", fingerprint, &lines[..kept]).unwrap();
+
+    let resumed = p4_hunt_workloads(&p4_config(Some(dir.clone()), true), &targets);
+    assert_eq!(
+        resumed.to_json(),
+        clean.to_json(),
+        "resumed report diverged"
+    );
+    assert_eq!(
+        resumed.outcomes.len(),
+        lines.len() - kept,
+        "re-evaluated tail"
+    );
+    let status = fs::read_to_string(dir.join("status.json")).unwrap();
+    let done = format!("\"completed\": {}", lines.len());
+    assert!(status.contains("\"kind\": \"p4-hunt\""), "{status}");
+    assert!(status.contains(&done), "{status}");
+    let _ = fs::remove_dir_all(&dir);
 }
