@@ -28,8 +28,9 @@
 //! 6. **Assembly** ([`compile()`](compile())): full-grid machine code plus the
 //!    container/state mappings the fuzz harness needs.
 //!
-//! The [`spec`] module re-exposes the Domino reference interpreter as a
-//! dsim [`Specification`](druzhba_dsim::testing::Specification), so the
+//! The [`spec`] module runs the Domino program itself as a dsim
+//! [`Specification`](druzhba_dsim::testing::Specification) — the oracle,
+//! with every name resolved once against the compiled layout — so the
 //! Fig. 5 workflow — compile, simulate, fuzz, compare traces — is a
 //! three-call affair:
 //!

@@ -67,25 +67,38 @@ impl Trace {
                 actual: other.phvs.len(),
             });
         }
-        for (tick, (a, b)) in self.phvs.iter().zip(&other.phvs).enumerate() {
-            let indices: Vec<usize> = match observable {
-                Some(idx) => idx.to_vec(),
-                None => (0..a.len().max(b.len())).collect(),
-            };
-            for &c in &indices {
-                let va = a.try_get(c);
-                let vb = b.try_get(c);
-                if va != vb {
-                    return Some(TraceMismatch::ContainerMismatch {
-                        tick,
-                        container: c,
-                        expected: va,
-                        actual: vb,
-                    });
-                }
-            }
-        }
-        None
+        self.phvs
+            .iter()
+            .zip(&other.phvs)
+            .enumerate()
+            .find_map(|(tick, (a, b))| phv_mismatch(tick, a, b, observable))
+    }
+}
+
+/// The first container at which `expected` and `actual` differ, as the
+/// [`TraceMismatch::ContainerMismatch`] at `tick`: the `observable`
+/// containers in the given order, or every container of the longer PHV
+/// when `None` (a container only one side has compares as `None`). This
+/// is [`Trace::first_mismatch`]'s per-tick step, for callers that produce
+/// the expected PHVs one at a time.
+pub fn phv_mismatch(
+    tick: usize,
+    expected: &Phv,
+    actual: &Phv,
+    observable: Option<&[usize]>,
+) -> Option<TraceMismatch> {
+    let differs = |container: usize| {
+        let (e, a) = (expected.try_get(container), actual.try_get(container));
+        (e != a).then_some(TraceMismatch::ContainerMismatch {
+            tick,
+            container,
+            expected: e,
+            actual: a,
+        })
+    };
+    match observable {
+        Some(idx) => idx.iter().find_map(|&c| differs(c)),
+        None => (0..expected.len().max(actual.len())).find_map(differs),
     }
 }
 

@@ -1,9 +1,14 @@
 //! Reference interpreter for Domino programs.
 //!
-//! Used in two roles: as the *synthesis oracle* inside the compiler (the
-//! semantics every synthesized atom must match) and as an executable
-//! *high-level specification* in the fuzz-testing workflow of Fig. 5 (the
-//! "program spec" box).
+//! [`Interpreter`] is the string-keyed, allocation-per-packet definition of
+//! Domino semantics: it walks the AST, looks every field up in a
+//! `HashMap` and every state variable up by name. It is *not* the hot
+//! path of the fuzz-testing workflow of Fig. 5 — that is
+//! `druzhba_chipmunk::spec::CompiledSpec`, which resolves every name to a
+//! slot once and shares only the operator semantics below
+//! ([`apply_binop`], [`apply_unop`]). `Interpreter::step` stays the
+//! reference for that fast oracle; `tests/oracle_props.rs` pins the two
+//! equal packet by packet.
 
 use std::collections::HashMap;
 
@@ -118,13 +123,7 @@ pub fn eval(
             );
             apply_binop(*op, l, r)
         }
-        DominoExpr::Unary { op, x } => {
-            let x = eval(program, x, fields, state);
-            match op {
-                UnOp::Neg => value::wneg(x),
-                UnOp::Not => value::from_bool(!value::truthy(x)),
-            }
-        }
+        DominoExpr::Unary { op, x } => apply_unop(*op, eval(program, x, fields, state)),
     }
 }
 
@@ -144,6 +143,14 @@ pub fn apply_binop(op: BinOp, a: Value, b: Value) -> Value {
         BinOp::Ge => value::from_bool(a >= b),
         BinOp::And => value::from_bool(value::truthy(a) && value::truthy(b)),
         BinOp::Or => value::from_bool(value::truthy(a) || value::truthy(b)),
+    }
+}
+
+/// The shared total-semantics unary operators.
+pub fn apply_unop(op: UnOp, x: Value) -> Value {
+    match op {
+        UnOp::Neg => value::wneg(x),
+        UnOp::Not => value::from_bool(!value::truthy(x)),
     }
 }
 

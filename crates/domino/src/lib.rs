@@ -29,9 +29,10 @@
 //! assert_eq!(program.fields_written(), vec!["sample".to_string()]);
 //! ```
 //!
-//! The [`interp`] module provides a reference interpreter used both as the
-//! synthesis oracle inside the compiler and as an executable specification
-//! in the fuzz-testing workflow.
+//! The [`interp`] module provides the reference interpreter, the
+//! definition of Domino semantics. The fuzz-testing workflow's oracle
+//! (`druzhba_chipmunk::CompiledSpec`) is a name-resolved fast path pinned
+//! to it.
 
 pub mod ast;
 pub mod interp;

@@ -155,7 +155,14 @@ impl fmt::Display for SnapshotError {
 /// rename into place. Used for snapshots, heartbeats, and every JSON
 /// report the CLI emits, so a crash never leaves a half-written file
 /// under the final name.
+///
+/// An existing target that is neither a regular file nor a directory (a
+/// character device such as `/dev/null`, or a FIFO) is written in place
+/// instead: renaming over it would replace the device with a file.
 pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
+    if fs::metadata(path).is_ok_and(|m| !m.is_file() && !m.is_dir()) {
+        return fs::write(path, contents);
+    }
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
@@ -351,6 +358,42 @@ mod tests {
             "dangling escape is malformed"
         );
         assert_eq!(unescape_line("bad\\x"), None);
+    }
+
+    #[test]
+    fn write_atomic_replaces_a_regular_file() {
+        let dir = tmpdir("atomic");
+        let path = dir.join("report.json");
+        write_atomic(&path, "old").unwrap();
+        write_atomic(&path, "new").unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), "new");
+        assert!(!dir.join("report.json.tmp").exists());
+    }
+
+    /// A FIFO target (like a character device such as `/dev/null`) is
+    /// written in place, not replaced by a regular file.
+    #[cfg(unix)]
+    #[test]
+    fn write_atomic_writes_into_a_fifo_in_place() {
+        use std::os::unix::fs::FileTypeExt;
+
+        let dir = tmpdir("fifo");
+        let fifo = dir.join("out.json");
+        let made = std::process::Command::new("mkfifo")
+            .arg(&fifo)
+            .status()
+            .unwrap();
+        assert!(made.success());
+        let reader = {
+            let fifo = fifo.clone();
+            std::thread::spawn(move || fs::read_to_string(fifo).unwrap())
+        };
+        write_atomic(&fifo, "{\"report\": 1}\n").unwrap();
+        // Checked before joining: a FIFO renamed away would leave the
+        // reader blocked for good.
+        assert!(fs::metadata(&fifo).unwrap().file_type().is_fifo());
+        assert!(!dir.join("out.json.tmp").exists());
+        assert_eq!(reader.join().unwrap(), "{\"report\": 1}\n");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! *assertion failures between the pipeline output trace and the
 //! specification's output trace*.
 
-use druzhba_core::trace::TraceMismatch;
+use druzhba_core::trace::{phv_mismatch, TraceMismatch};
 use druzhba_core::{Error, MachineCode, Phv, Trace, Value};
 use druzhba_dgen::{OptLevel, Pipeline, PipelineSpec};
 
@@ -45,9 +45,13 @@ pub trait Specification {
     }
 
     /// Allocation-free variant of [`Specification::process`]: write the
-    /// expected output into `out`. Hot enumeration loops (the lane-swept
-    /// verifier runs billions of cases) call this; the default simply
-    /// delegates, so existing specifications need no changes.
+    /// expected output into `out`, reusing its buffer. Every per-packet
+    /// loop calls this — the lane-swept verifier (billions of cases) and
+    /// the fuzz and greybox compare, one scratch PHV per trace. The Domino
+    /// oracle (`druzhba_chipmunk::CompiledSpec`) overrides it to run
+    /// without allocating; the default delegates to
+    /// [`Specification::process`], so other specifications need no
+    /// changes.
     fn process_into(&mut self, input: &Phv, out: &mut Phv) {
         *out = self.process(input);
     }
@@ -299,10 +303,23 @@ pub(crate) fn compare_against_spec(
     observable: Option<&[usize]>,
     state_cells: &[(usize, usize, usize)],
 ) -> Verdict {
+    // Streamed through one scratch PHV, with exactly
+    // `Trace::first_mismatch`'s verdict. The reference still runs over the
+    // whole trace after a divergence, so its final state never depends on
+    // where (or whether) the traces diverge.
     reference.reset();
-    let expected = Trace::from_phvs(input.phvs.iter().map(|p| reference.process(p)).collect());
-
-    if let Some(m) = expected.first_mismatch(actual, observable) {
+    let mut mismatch = (input.len() != actual.len()).then_some(TraceMismatch::LengthMismatch {
+        expected: input.len(),
+        actual: actual.len(),
+    });
+    let mut expected = Phv::zeroed(0);
+    for (tick, phv) in input.phvs.iter().enumerate() {
+        reference.process_into(phv, &mut expected);
+        if mismatch.is_none() {
+            mismatch = phv_mismatch(tick, &expected, &actual.phvs[tick], observable);
+        }
+    }
+    if let Some(m) = mismatch {
         return Verdict::Mismatch(m);
     }
     if !state_cells.is_empty() {
@@ -745,6 +762,39 @@ mod tests {
             },
             |s| vec![*s],
         )
+    }
+
+    /// The streamed compare returns `Trace::first_mismatch`'s verdict —
+    /// length first, then the first diverging container — and leaves the
+    /// reference in its end-of-trace state even after an early divergence.
+    #[test]
+    fn streamed_compare_matches_the_trace_verdict() {
+        let input = Trace::from_phvs((1..=6).map(|v| Phv::new(vec![v, 0])).collect());
+        let mut reference = accumulator_spec();
+        let correct: Vec<Phv> = input.phvs.iter().map(|p| reference.process(p)).collect();
+        let end_state = reference.state();
+        let mut early = correct.clone();
+        early[1].set(1, 99);
+        early[4].set(0, 99);
+        let mut wide = correct.clone();
+        wide[2] = Phv::new(vec![3, 3, 7]);
+        let cases = [
+            (correct.clone(), None),
+            (early.clone(), None),
+            (early, Some(&[1, 0][..])),
+            (wide, None),
+            (correct[..5].to_vec(), None),
+        ];
+        for (actual, observable) in cases {
+            let actual = Trace::from_phvs(actual);
+            let want = match Trace::from_phvs(correct.clone()).first_mismatch(&actual, observable) {
+                Some(m) => Verdict::Mismatch(m),
+                None => Verdict::Pass,
+            };
+            let got = compare_against_spec(&mut reference, &input, &actual, observable, &[]);
+            assert_eq!(got, want, "{actual:?}");
+            assert_eq!(reference.state(), end_state);
+        }
     }
 
     #[test]
