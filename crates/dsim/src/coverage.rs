@@ -78,7 +78,7 @@ use druzhba_p4::tables::{parse_entries, render_entry, TableEntry};
 
 pub use druzhba_core::coverage::{bucket, edge_id, CoverageMap, COVERAGE_MAP_SIZE};
 
-use crate::minimize::{minimize, minimize_trace_with, MinimizeConfig, MinimizedCounterExample};
+use crate::minimize::{minimize, MinimizeConfig, MinimizedCounterExample};
 use crate::p4::{materialize_pattern, p4_differential, P4Traffic, P4Workload, PatternSeed};
 use crate::runtime::{catch_silent, RuntimeOptions};
 use crate::snapshot;
@@ -1159,21 +1159,21 @@ pub fn p4_greybox_fuzz_test(
                 entries
             };
             if mutate_entries {
-                // Shared-entries oracle: both sides regenerate per check.
-                let mut oracle = |phvs: &[Phv]| -> Verdict {
+                // Shared-entries oracle: both sides run the input's entry
+                // set; an invalid set passes, as in the search.
+                let build = || {
                     let pipe = MatPipeline::generate(
                         &workload.hlir,
                         case_entries,
                         &workload.lowering,
                         level,
                     );
-                    let reference = Interpreter::new(&workload.hlir, case_entries);
-                    let (Ok(mut pipe), Ok(mut reference)) = (pipe, reference) else {
-                        return Verdict::Pass;
-                    };
-                    p4_differential(&mut pipe, &mut reference, &Trace::from_phvs(phvs.to_vec()))
+                    match (pipe, Interpreter::new(&workload.hlir, case_entries)) {
+                        (Ok(pipe), Ok(reference)) => Ok((pipe, reference)),
+                        _ => Err(Verdict::Pass),
+                    }
                 };
-                minimize_trace_with(&mut oracle, &input.trace, 3_000)
+                crate::p4::minimize_fixed_entries(build, &input.trace, 3_000)
             } else {
                 crate::p4::p4_minimize(workload, entries, level, &input.trace, 3_000)
             }

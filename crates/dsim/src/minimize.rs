@@ -30,11 +30,16 @@
 //! Every candidate evaluation costs one differential simulation; the
 //! [`MinimizeConfig::max_checks`] budget bounds the total, and the search
 //! degrades gracefully (returns the best reduction so far) when exhausted.
+//! The pipeline is generated once per distinct machine code, not once per
+//! check: the oracle holds one [`CaseRunner`], which resets the cached
+//! pipeline between checks and drops it after a backend panic. Verdicts,
+//! `checks` and every reduction are identical to generating a fresh
+//! pipeline per check (pinned by `tests/minimize_reuse.rs`).
 
 use druzhba_core::{MachineCode, Phv, Trace, Value};
 use druzhba_dgen::{OptLevel, PipelineSpec};
 
-use crate::testing::{run_case, Specification, Verdict, VerdictClass};
+use crate::testing::{CaseRunner, Specification, Verdict, VerdictClass};
 
 /// Observation points and budget for a minimization run.
 #[derive(Debug, Clone)]
@@ -103,7 +108,7 @@ impl MinimizedCounterExample {
 /// The engine is *oracle-generic*: it knows nothing about pipelines or
 /// specifications, only that a candidate `(program, input)` pair can be
 /// differentially evaluated to a [`Verdict`]. The ALU workflow passes a
-/// [`run_case`] closure over `(PipelineSpec, OptLevel, Specification)`;
+/// [`CaseRunner`] closure over `(PipelineSpec, OptLevel, Specification)`;
 /// the P4 workflow ([`crate::p4`]) passes an interpreter-vs-match-action
 /// closure — both share every reduction strategy below.
 struct Minimizer<'a> {
@@ -401,18 +406,19 @@ pub fn minimize(
 }
 
 /// The standard ALU-pipeline differential oracle used by [`minimize`] and
-/// [`minimize_fault`]: one [`run_case`] per candidate.
+/// [`minimize_fault`]: one [`CaseRunner`] for every candidate, so a
+/// pipeline is generated once per distinct machine code and reset between
+/// checks.
 fn differential_oracle<'a>(
     pipeline_spec: &'a PipelineSpec,
     opt: OptLevel,
     reference: &'a mut dyn Specification,
     cfg: &'a MinimizeConfig,
 ) -> impl FnMut(&MachineCode, &[Phv]) -> Verdict + 'a {
+    let mut runner = CaseRunner::new(pipeline_spec, opt);
     move |mc, phvs| {
-        run_case(
-            pipeline_spec,
+        runner.run(
             mc,
-            opt,
             reference,
             &Trace::from_phvs(phvs.to_vec()),
             cfg.observable.as_deref(),
@@ -523,7 +529,7 @@ pub fn minimize_fault(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::ClosureSpec;
+    use crate::testing::{run_case, ClosureSpec};
     use druzhba_alu_dsl::atoms::atom;
     use druzhba_core::PipelineConfig;
     use druzhba_dgen::expected_machine_code;

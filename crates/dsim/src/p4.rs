@@ -310,18 +310,56 @@ pub fn run_p4_case(
     level: OptLevel,
     input: &Trace,
 ) -> Verdict {
-    let guarded = crate::runtime::catch_silent(|| {
-        let mut pipeline =
-            match MatPipeline::generate(&workload.hlir, entries, &workload.lowering, level) {
-                Ok(p) => p,
-                Err(e) => return Verdict::Incompatible(e),
+    fixed_entries_oracle(workload_sides(workload, entries, level))(input)
+}
+
+/// The two sides [`run_p4_case`] compares: the match-action pipeline
+/// programmed with `entries` (an unbindable set is
+/// [`Verdict::Incompatible`]) and the interpreter over the workload's
+/// intended entries.
+fn workload_sides<'a>(
+    workload: &'a P4Workload,
+    entries: &'a [TableEntry],
+    level: OptLevel,
+) -> impl Fn() -> std::result::Result<(MatPipeline, Interpreter), Verdict> + 'a {
+    move || match MatPipeline::generate(&workload.hlir, entries, &workload.lowering, level) {
+        Ok(pipeline) => Ok((pipeline, workload.interpreter())),
+        Err(e) => Err(Verdict::Incompatible(e)),
+    }
+}
+
+/// A differential check for one fixed entry set: the pair `build` makes
+/// is built on the first check and reset before every later one. A build
+/// error's verdict is returned as is and never cached; a panic, captured
+/// as [`Verdict::BackendPanic`], drops the pair.
+fn fixed_entries_oracle(
+    build: impl Fn() -> std::result::Result<(MatPipeline, Interpreter), Verdict>,
+) -> impl FnMut(&Trace) -> Verdict {
+    let mut cached: Option<(MatPipeline, Interpreter)> = None;
+    move |input| {
+        let sides = cached.take();
+        let guarded = crate::runtime::catch_silent(|| {
+            let (mut pipeline, mut interp) = match sides {
+                Some((mut pipeline, mut interp)) => {
+                    pipeline.reset();
+                    interp.reset();
+                    (pipeline, interp)
+                }
+                None => match build() {
+                    Ok(pair) => pair,
+                    Err(verdict) => return (verdict, None),
+                },
             };
-        let mut interp = workload.interpreter();
-        p4_differential(&mut pipeline, &mut interp, input)
-    });
-    match guarded {
-        Ok(verdict) => verdict,
-        Err(p) => Verdict::BackendPanic { payload: p.payload },
+            let verdict = p4_differential(&mut pipeline, &mut interp, input);
+            (verdict, Some((pipeline, interp)))
+        });
+        match guarded {
+            Ok((verdict, kept)) => {
+                cached = kept;
+                verdict
+            }
+            Err(p) => Verdict::BackendPanic { payload: p.payload },
+        }
     }
 }
 
@@ -486,8 +524,9 @@ pub fn p4_fuzz_campaign_with_runtime(
 /// Minimize a failing input trace for a fixed entry set through the
 /// shared oracle-generic delta-debugging engine ([`minimize_trace_with`]):
 /// truncation at the diverging tick, prefix halving, packet ddmin, and
-/// per-container value shrinking, every candidate re-checked through
-/// [`run_p4_case`].
+/// per-container value shrinking. Every candidate gets [`run_p4_case`]'s
+/// verdict, but pipeline and interpreter are built once and reset between
+/// checks.
 pub fn p4_minimize(
     workload: &P4Workload,
     entries: &[TableEntry],
@@ -495,8 +534,18 @@ pub fn p4_minimize(
     input: &Trace,
     max_checks: usize,
 ) -> Option<MinimizedCounterExample> {
-    let mut oracle =
-        |phvs: &[Phv]| run_p4_case(workload, entries, level, &Trace::from_phvs(phvs.to_vec()));
+    minimize_fixed_entries(workload_sides(workload, entries, level), input, max_checks)
+}
+
+/// Minimize `input` against the differential pair `build` makes, built
+/// once for the whole minimization (entries stay fixed through it).
+pub(crate) fn minimize_fixed_entries(
+    build: impl Fn() -> std::result::Result<(MatPipeline, Interpreter), Verdict>,
+    input: &Trace,
+    max_checks: usize,
+) -> Option<MinimizedCounterExample> {
+    let mut check = fixed_entries_oracle(build);
+    let mut oracle = |phvs: &[Phv]| check(&Trace::from_phvs(phvs.to_vec()));
     minimize_trace_with(&mut oracle, input, max_checks)
 }
 

@@ -258,7 +258,8 @@ impl FuzzReport {
 /// Differentially execute one concrete input trace: generate the pipeline,
 /// run it and the specification over `input`, and compare output traces
 /// (and the configured state cells). This is the single-case core shared
-/// by [`fuzz_test`] and [`mod@crate::minimize`].
+/// by [`fuzz_test`] and [`mod@crate::minimize`] — a one-shot
+/// [`CaseRunner`].
 ///
 /// The whole evaluation runs under panic isolation: a backend that
 /// panics while building or executing the pipeline yields
@@ -276,18 +277,69 @@ pub fn run_case(
     observable: Option<&[usize]>,
     state_cells: &[(usize, usize, usize)],
 ) -> Verdict {
-    let guarded = catch_silent(|| {
-        let pipeline = match Pipeline::generate(pipeline_spec, mc, opt) {
-            Ok(p) => p,
-            Err(e) => return Verdict::Incompatible(e),
-        };
-        let mut sim = Simulator::new(pipeline);
-        let actual = sim.run(input);
-        compare_against_spec(reference, input, &actual, observable, state_cells)
-    });
-    match guarded {
-        Ok(verdict) => verdict,
-        Err(p) => Verdict::BackendPanic { payload: p.payload },
+    CaseRunner::new(pipeline_spec, opt).run(mc, reference, input, observable, state_cells)
+}
+
+/// [`run_case`] for a sequence of checks: the runner keeps the last
+/// pipeline it generated and, while the machine code stays equal, resets
+/// it ([`Simulator::reset`]: zero state, empty pipe) instead of generating
+/// it again. Minimization re-checks one machine code thousands of times,
+/// and a generation costs far more than a machine-code compare.
+///
+/// Every verdict equals a fresh [`run_case`]'s on the same arguments.
+/// Generation, run and compare stay under [`catch_silent`]; a panic drops
+/// the cached pipeline, and an incompatible machine code is never cached.
+/// At most one pipeline is held.
+pub struct CaseRunner<'a> {
+    pipeline_spec: &'a PipelineSpec,
+    opt: OptLevel,
+    /// The machine code last generated and its (used) simulator.
+    cached: Option<(MachineCode, Simulator)>,
+}
+
+impl<'a> CaseRunner<'a> {
+    /// A runner with nothing cached yet.
+    pub fn new(pipeline_spec: &'a PipelineSpec, opt: OptLevel) -> Self {
+        CaseRunner {
+            pipeline_spec,
+            opt,
+            cached: None,
+        }
+    }
+
+    /// Evaluate one `(mc, input)` case, exactly as [`run_case`] does.
+    pub fn run(
+        &mut self,
+        mc: &MachineCode,
+        reference: &mut dyn Specification,
+        input: &Trace,
+        observable: Option<&[usize]>,
+        state_cells: &[(usize, usize, usize)],
+    ) -> Verdict {
+        let (pipeline_spec, opt) = (self.pipeline_spec, self.opt);
+        let cached = self.cached.take().filter(|(code, _)| code == mc);
+        let guarded = catch_silent(move || {
+            let (code, mut sim) = match cached {
+                Some((code, mut sim)) => {
+                    sim.reset();
+                    (code, sim)
+                }
+                None => match Pipeline::generate(pipeline_spec, mc, opt) {
+                    Ok(p) => (mc.clone(), Simulator::new(p)),
+                    Err(e) => return (Verdict::Incompatible(e), None),
+                },
+            };
+            let actual = sim.run(input);
+            let verdict = compare_against_spec(reference, input, &actual, observable, state_cells);
+            (verdict, Some((code, sim)))
+        });
+        match guarded {
+            Ok((verdict, kept)) => {
+                self.cached = kept;
+                verdict
+            }
+            Err(p) => Verdict::BackendPanic { payload: p.payload },
+        }
     }
 }
 

@@ -21,7 +21,7 @@ use druzhba_dgen::{LanePipeline, OptLevel, Pipeline, PipelineSpec};
 
 use crate::minimize::{minimize, MinimizeConfig, MinimizedCounterExample};
 use crate::sim::Simulator;
-use crate::testing::Specification;
+use crate::testing::{compare_against_spec, Specification, Verdict};
 
 /// Bounds and observation points for exhaustive verification.
 #[derive(Debug, Clone)]
@@ -181,44 +181,10 @@ pub fn verify_bounded(
         }
         let input = Trace::from_phvs(phvs);
 
-        // Run both sides from clean state.
-        sim.reset();
-        let actual = sim.run(&input);
-        reference.reset();
-        let expected = Trace::from_phvs(input.phvs.iter().map(|p| reference.process(p)).collect());
-
-        if let Some(mismatch) = expected.first_mismatch(&actual, cfg.observable.as_deref()) {
-            let minimized = minimize_counterexample(pipeline_spec, mc, opt, reference, &input, cfg);
-            return Ok(VerifyOutcome::CounterExample {
-                input,
-                mismatch,
-                minimized,
-            });
-        }
-        if !cfg.state_cells.is_empty() {
-            let snapshot = actual.state.as_ref().expect("run records state");
-            let expected_state = reference.state();
-            for (i, &(stage, slot, var)) in cfg.state_cells.iter().enumerate() {
-                let actual_v = snapshot
-                    .get(stage)
-                    .and_then(|s| s.get(slot))
-                    .and_then(|vars| vars.get(var))
-                    .copied();
-                if actual_v != expected_state.get(i).copied() {
-                    let minimized =
-                        minimize_counterexample(pipeline_spec, mc, opt, reference, &input, cfg);
-                    return Ok(VerifyOutcome::CounterExample {
-                        input,
-                        mismatch: TraceMismatch::StateMismatch {
-                            stage,
-                            slot,
-                            expected: expected_state.get(i).copied().into_iter().collect(),
-                            actual: actual_v.into_iter().collect(),
-                        },
-                        minimized,
-                    });
-                }
-            }
+        if let Some(outcome) =
+            scalar_counterexample(pipeline_spec, mc, opt, &mut sim, reference, cfg, &input)
+        {
+            return Ok(outcome);
         }
         checked += 1;
 
@@ -436,7 +402,7 @@ fn verify_bounded_lanes(
                     phvs.push(phv);
                 }
                 let input = Trace::from_phvs(phvs);
-                return scalar_recheck(pipeline_spec, mc, opt, reference, cfg, input);
+                return scalar_recheck(pipeline_spec, mc, opt, reference, cfg, &input);
             }
             checked += 1;
         }
@@ -455,52 +421,43 @@ fn scalar_recheck(
     opt: OptLevel,
     reference: &mut dyn Specification,
     cfg: &VerifyConfig,
-    input: Trace,
+    input: &Trace,
 ) -> Result<VerifyOutcome> {
-    let pipeline = Pipeline::generate(pipeline_spec, mc, opt)?;
-    let mut sim = Simulator::new(pipeline);
+    let mut sim = Simulator::new(Pipeline::generate(pipeline_spec, mc, opt)?);
+    scalar_counterexample(pipeline_spec, mc, opt, &mut sim, reference, cfg, input).ok_or_else(
+        || Error::Other {
+            message: "lane-swept enumeration found a divergence the scalar \
+                      backend does not reproduce — this is a lane-engine bug, \
+                      not a compiler bug"
+                .to_string(),
+        },
+    )
+}
+
+/// Run one case through `sim` and the reference, both from clean state,
+/// and compare them as [`compare_against_spec`] does. A divergence becomes
+/// the scalar path's [`VerifyOutcome::CounterExample`], minimized.
+fn scalar_counterexample(
+    pipeline_spec: &PipelineSpec,
+    mc: &MachineCode,
+    opt: OptLevel,
+    sim: &mut Simulator,
+    reference: &mut dyn Specification,
+    cfg: &VerifyConfig,
+    input: &Trace,
+) -> Option<VerifyOutcome> {
     sim.reset();
-    let actual = sim.run(&input);
-    reference.reset();
-    let expected = Trace::from_phvs(input.phvs.iter().map(|p| reference.process(p)).collect());
-    if let Some(mismatch) = expected.first_mismatch(&actual, cfg.observable.as_deref()) {
-        let minimized = minimize_counterexample(pipeline_spec, mc, opt, reference, &input, cfg);
-        return Ok(VerifyOutcome::CounterExample {
-            input,
-            mismatch,
-            minimized,
-        });
-    }
-    if !cfg.state_cells.is_empty() {
-        let snapshot = actual.state.as_ref().expect("run records state");
-        let expected_state = reference.state();
-        for (i, &(stage, slot, var)) in cfg.state_cells.iter().enumerate() {
-            let actual_v = snapshot
-                .get(stage)
-                .and_then(|s| s.get(slot))
-                .and_then(|vars| vars.get(var))
-                .copied();
-            if actual_v != expected_state.get(i).copied() {
-                let minimized =
-                    minimize_counterexample(pipeline_spec, mc, opt, reference, &input, cfg);
-                return Ok(VerifyOutcome::CounterExample {
-                    input,
-                    mismatch: TraceMismatch::StateMismatch {
-                        stage,
-                        slot,
-                        expected: expected_state.get(i).copied().into_iter().collect(),
-                        actual: actual_v.into_iter().collect(),
-                    },
-                    minimized,
-                });
-            }
-        }
-    }
-    Err(Error::Other {
-        message: "lane-swept enumeration found a divergence the scalar \
-                  backend does not reproduce — this is a lane-engine bug, \
-                  not a compiler bug"
-            .to_string(),
+    let actual = sim.run(input);
+    let observable = cfg.observable.as_deref();
+    let Verdict::Mismatch(mismatch) =
+        compare_against_spec(reference, input, &actual, observable, &cfg.state_cells)
+    else {
+        return None;
+    };
+    Some(VerifyOutcome::CounterExample {
+        input: input.clone(),
+        mismatch,
+        minimized: minimize_counterexample(pipeline_spec, mc, opt, reference, input, cfg),
     })
 }
 

@@ -158,6 +158,7 @@ USAGE:
   druzhba p4-fuzz --greybox E [--mutate-entries on|off] [...same flags...]
                   coverage-guided differential campaign over packets and (by
                   default) table entries; same tuning flags as fuzz --greybox
+                  except --lanes (the P4 oracle has no lane engine)
   druzhba p4-fuzz --mutants N [...same flags...] [--out FILE]
                   table/action-fault mutation campaign (JSON report; nonzero
                   exit if any injected fault survives)
@@ -194,14 +195,19 @@ struct Args {
 const GRID: &str = "depth width atom";
 const P4: &str = "entries stages tables-per-stage";
 const RUNTIME: &str = "checkpoint resume every budget-secs";
-const GREYBOX: &str = "greybox gb-packets gb-max-packets corpus merge-every jobs lanes";
+const GREYBOX: &str = "greybox jobs";
+/// Flags that only tune a greybox campaign (`--lanes` is Domino-only).
+const GREYBOX_TUNING: &str = "gb-packets gb-max-packets corpus merge-every";
 const FUZZ: &str = "phvs bits seed level runs jobs";
 
 /// The flags each subcommand takes (space-separated groups); any other
 /// flag is an error rather than a silent fall back to its default.
 const FLAGS: &[(&str, &[&str])] = &[
     ("compile", &[GRID, P4, "o"]),
-    ("fuzz", &[GRID, FUZZ, RUNTIME, GREYBOX, "edit"]),
+    (
+        "fuzz",
+        &[GRID, FUZZ, RUNTIME, GREYBOX, GREYBOX_TUNING, "edit lanes"],
+    ),
     ("verify", &[GRID, "bits packets max-cases lanes level"]),
     ("emit", &[GRID, P4, "level"]),
     ("generate", &["count seed index p4 json out"]),
@@ -222,6 +228,7 @@ const FLAGS: &[(&str, &[&str])] = &[
             P4,
             RUNTIME,
             GREYBOX,
+            GREYBOX_TUNING,
             "generate lint cross-model mutate-entries mutants case-budget out",
         ],
     ),
@@ -263,6 +270,16 @@ impl Args {
             }
         }
         Ok(Args { file, flags })
+    }
+
+    /// Reject the first of the space-separated `flags` given: each only
+    /// tunes a mode this invocation did not select, so accepting it would
+    /// silently do nothing. The error reads "`--FLAG` {why}".
+    fn reject_unused(&self, flags: &str, why: &str) -> Result<(), String> {
+        match flags.split(' ').find(|f| self.get(f).is_some()) {
+            Some(f) => Err(format!("--{f} {why}")),
+            None => Ok(()),
+        }
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -441,6 +458,18 @@ fn warn_truncated(what: &str, truncated: usize) {
              unevaluated; the report is partial (marked truncated)"
         );
     }
+}
+
+/// Without `--greybox E`, reject the greybox tuning flags plus the
+/// command's own greybox-only `extra` flag.
+fn reject_greybox_tuning(args: &Args, extra: &str) -> Result<(), String> {
+    if args.get_usize("greybox", 0)? > 0 {
+        return Ok(());
+    }
+    args.reject_unused(
+        &format!("{GREYBOX_TUNING} {extra}"),
+        "tunes the greybox campaign; pass --greybox E with it (or drop it)",
+    )
 }
 
 /// Build the greybox configuration from the flags shared by
@@ -689,6 +718,7 @@ fn cmd_compile_p4(args: &Args, file: &str) -> Result<(), String> {
 
 fn cmd_p4_fuzz(rest: &[String]) -> Result<(), String> {
     let args = Args::parse("p4-fuzz", rest)?;
+    reject_greybox_tuning(&args, "mutate-entries")?;
     // `--generate N` swaps the corpus/file targets for N freshly
     // generated, TV-vetted P4 workloads; every downstream mode (--lint,
     // plain runs, --mutants, --greybox, cross-model) composes unchanged.
@@ -999,6 +1029,7 @@ fn cmd_compile(rest: &[String]) -> Result<(), String> {
 
 fn cmd_fuzz(rest: &[String]) -> Result<(), String> {
     let args = Args::parse("fuzz", rest)?;
+    reject_greybox_tuning(&args, "lanes")?;
     let (program, compiled) = compile_from(&args)?;
     report(&compiled);
     let num_phvs = args.get_usize("phvs", 50_000)?;
@@ -1433,6 +1464,10 @@ fn cmd_hunt(rest: &[String]) -> Result<(), String> {
     if generate > 0 {
         return cmd_genhunt(&args, generate as u64);
     }
+    args.reject_unused(
+        "faults minimize-checks",
+        "belongs to the generated-program hunt; pass --generate N with it (or drop it)",
+    )?;
     let defaults = HuntConfig::default();
     let cfg = HuntConfig {
         programs: args

@@ -68,6 +68,50 @@ fn unknown_flag_is_rejected_with_its_name_and_subcommand() {
 }
 
 #[test]
+fn flags_of_an_unselected_mode_are_rejected_by_name() {
+    let path = write_sampling();
+    let file = path.to_str().unwrap();
+    let grid = ["--depth", "2", "--width", "1", "--atom", "if_else_raw"];
+    let fuzz = |extra: &[&'static str]| {
+        let mut argv = vec!["fuzz", file];
+        argv.extend(grid);
+        argv.extend(extra);
+        argv
+    };
+    let rejected = |argv: Vec<&str>, flag: &str, why: &str| {
+        let out = druzhba(&argv);
+        assert!(!out.status.success(), "{argv:?} ran");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag) && err.contains(why), "{argv:?}: {err}");
+    };
+    let greybox = "tunes the greybox campaign";
+    let tuning = [
+        ("--gb-packets", "4"),
+        ("--gb-max-packets", "9"),
+        ("--corpus", "8"),
+        ("--merge-every", "2"),
+    ];
+    for (flag, value) in tuning.into_iter().chain([("--lanes", "8")]) {
+        rejected(fuzz(&[flag, value]), flag, greybox);
+    }
+    rejected(
+        fuzz(&["--greybox", "0", "--lanes", "8"]),
+        "--lanes",
+        greybox,
+    );
+    for (flag, value) in tuning.into_iter().chain([("--mutate-entries", "off")]) {
+        rejected(vec!["p4-fuzz", flag, value], flag, greybox);
+    }
+    // The P4 greybox oracle has no lane engine: never a p4-fuzz flag.
+    let p4_lanes = vec!["p4-fuzz", "--greybox", "10", "--lanes", "8"];
+    rejected(p4_lanes, "--lanes", "unknown flag");
+    for flag in ["--faults", "--minimize-checks"] {
+        rejected(vec!["hunt", flag, "1"], flag, "generated-program hunt");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn help_anywhere_prints_usage_and_succeeds() {
     for argv in [
         vec!["--help"],
