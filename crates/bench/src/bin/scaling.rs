@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use druzhba_alu_dsl::atoms::atom;
-use druzhba_bench::{phvs_per_sec, time_batch, time_batch_lanes, BENCH_SEED};
+use druzhba_bench::{phvs_per_sec, time_batch, time_lane_sweep, BENCH_SEED};
 use druzhba_core::{MachineCode, PipelineConfig};
 use druzhba_dgen::{expected_machine_code, OptLevel, PipelineSpec};
 use druzhba_programs::PROGRAMS;
@@ -118,7 +118,7 @@ fn main() {
                     )
                 })
                 .collect();
-            let lanes = time_batch_lanes(&spec, &mc, num_phvs, BENCH_SEED, LANES).unwrap();
+            let lanes = time_lane_sweep(&spec, &mc, num_phvs, BENCH_SEED, LANES).unwrap();
             let rate = |i: usize| phvs_per_sec(num_phvs, timings[i].1);
             let lanes_rate = phvs_per_sec(num_phvs, lanes);
             let lane_speedup = lanes_rate / rate(3).max(1e-9);
@@ -179,7 +179,7 @@ fn main() {
                 )
             })
             .collect();
-        let lanes = time_batch_lanes(
+        let lanes = time_lane_sweep(
             &compiled.pipeline_spec,
             &compiled.machine_code,
             num_phvs,

@@ -90,7 +90,7 @@ pub fn time_batch(
 /// Per-PHV instruction work is identical to [`time_batch`] at
 /// [`OptLevel::Fused`]; only the state chaining differs (zeroed per lane
 /// instead of threaded across the batch).
-pub fn time_batch_lanes(
+pub fn time_lane_sweep(
     spec: &PipelineSpec,
     mc: &MachineCode,
     num_phvs: usize,
@@ -117,7 +117,7 @@ pub fn time_batch_lanes(
 }
 
 /// Process a batch through a lane sweep, `width` PHVs per instruction
-/// stream, each from reset state (the loop [`time_batch_lanes`] times).
+/// stream, each from reset state (the loop [`time_lane_sweep`] times).
 fn sweep_batch(sweep: &mut druzhba_dgen::LaneSweep<'_>, phv_len: usize, batch: &mut [Phv]) {
     let width = sweep.width();
     for chunk in batch.chunks_mut(width) {
@@ -271,7 +271,7 @@ mod tests {
         assert_eq!(v.pipeline_spec.config.width, def.width + 1);
     }
 
-    /// The lane-sweep loop [`time_batch_lanes`] times must compute exactly
+    /// The lane-sweep loop [`time_lane_sweep`] times must compute exactly
     /// what a scalar fused pipeline computes when reset before every PHV —
     /// otherwise the `fused_lanes` column measures a different workload.
     #[test]
@@ -304,7 +304,7 @@ mod tests {
         }
     }
 
-    /// `time_batch_lanes` end to end: nonzero timing on a grid spec with
+    /// `time_lane_sweep` end to end: nonzero timing on a grid spec with
     /// zeroed machine code (the scaling binary's exact workload).
     #[test]
     fn lane_timing_harness_runs() {
@@ -322,9 +322,9 @@ mod tests {
                 .into_iter()
                 .map(|(n, _)| (n, 0)),
         );
-        let d = time_batch_lanes(&spec, &mc, 2_000, BENCH_SEED, 32).unwrap();
+        let d = time_lane_sweep(&spec, &mc, 2_000, BENCH_SEED, 32).unwrap();
         assert!(d > Duration::ZERO);
-        assert!(time_batch_lanes(&spec, &mc, 100, BENCH_SEED, 7).is_err());
+        assert!(time_lane_sweep(&spec, &mc, 100, BENCH_SEED, 7).is_err());
     }
 
     /// The committed `BENCH_scaling.json` must carry the `fused_lanes`

@@ -110,8 +110,7 @@ USAGE:
                   [--greybox E]         (coverage-guided campaign with an E-execution
                                          budget; tune with --gb-packets P
                                          --gb-max-packets N --corpus N --merge-every M
-                                         --jobs J --lanes 0|1|8|16|32|64;
-                                         see docs/FUZZING.md)
+                                         --jobs J; see docs/FUZZING.md)
   druzhba verify  <file.domino> --depth D --width W --atom NAME [--bits B] [--packets N]
                   [--level 0|1|2|3|all]  (default: all backends)
                   [--max-cases N] [--lanes 1|8|16|32|64]
@@ -158,7 +157,6 @@ USAGE:
   druzhba p4-fuzz --greybox E [--mutate-entries on|off] [...same flags...]
                   coverage-guided differential campaign over packets and (by
                   default) table entries; same tuning flags as fuzz --greybox
-                  except --lanes (the P4 oracle has no lane engine)
   druzhba p4-fuzz --mutants N [...same flags...] [--out FILE]
                   table/action-fault mutation campaign (JSON report; nonzero
                   exit if any injected fault survives)
@@ -196,7 +194,7 @@ const GRID: &str = "depth width atom";
 const P4: &str = "entries stages tables-per-stage";
 const RUNTIME: &str = "checkpoint resume every budget-secs";
 const GREYBOX: &str = "greybox jobs";
-/// Flags that only tune a greybox campaign (`--lanes` is Domino-only).
+/// Flags that only tune a greybox campaign.
 const GREYBOX_TUNING: &str = "gb-packets gb-max-packets corpus merge-every";
 const FUZZ: &str = "phvs bits seed level runs jobs";
 
@@ -206,7 +204,7 @@ const FLAGS: &[(&str, &[&str])] = &[
     ("compile", &[GRID, P4, "o"]),
     (
         "fuzz",
-        &[GRID, FUZZ, RUNTIME, GREYBOX, GREYBOX_TUNING, "edit lanes"],
+        &[GRID, FUZZ, RUNTIME, GREYBOX, GREYBOX_TUNING, "edit"],
     ),
     ("verify", &[GRID, "bits packets max-cases lanes level"]),
     ("emit", &[GRID, P4, "level"]),
@@ -461,13 +459,14 @@ fn warn_truncated(what: &str, truncated: usize) {
 }
 
 /// Without `--greybox E`, reject the greybox tuning flags plus the
-/// command's own greybox-only `extra` flag.
+/// command's own greybox-only `extra` flags (space-separated, may be
+/// empty).
 fn reject_greybox_tuning(args: &Args, extra: &str) -> Result<(), String> {
     if args.get_usize("greybox", 0)? > 0 {
         return Ok(());
     }
     args.reject_unused(
-        &format!("{GREYBOX_TUNING} {extra}"),
+        format!("{GREYBOX_TUNING} {extra}").trim_end(),
         "tunes the greybox campaign; pass --greybox E with it (or drop it)",
     )
 }
@@ -482,13 +481,6 @@ fn greybox_config(
     bits: u32,
 ) -> Result<GreyboxConfig, String> {
     let defaults = GreyboxConfig::default();
-    let lanes = args.get_usize("lanes", defaults.lanes)?;
-    if lanes != 0 && !druzhba::dgen::lanes::supported_width(lanes) {
-        return Err(format!(
-            "--lanes {lanes} is not a supported width; pick one of 1, 8, 16, 32, 64 \
-             (or 0 for the scalar oracle)"
-        ));
-    }
     Ok(GreyboxConfig {
         executions,
         packets: args.get_usize("gb-packets", defaults.packets)?,
@@ -503,7 +495,6 @@ fn greybox_config(
         merge_every: args.get_usize("merge-every", defaults.merge_every)?,
         initial_seeds: defaults.initial_seeds,
         minimize: true,
-        lanes,
         runtime: runtime_options(args)?,
     })
 }
@@ -552,13 +543,8 @@ fn greybox_replay(cfg: &GreyboxConfig, mode: &str) -> String {
     } else {
         format!(" --gb-max-packets {}", cfg.max_packets)
     };
-    let lanes = if cfg.lanes == 0 {
-        String::new()
-    } else {
-        format!(" --lanes {}", cfg.lanes)
-    };
     format!(
-        "--greybox {} --seed {:#x} --jobs {} --gb-packets {} --corpus {} --merge-every {}{cap}{lanes}{mode}",
+        "--greybox {} --seed {:#x} --jobs {} --gb-packets {} --corpus {} --merge-every {}{cap}{mode}",
         cfg.executions, cfg.seed, cfg.workers, cfg.packets, cfg.corpus_max, cfg.merge_every
     )
 }
@@ -1029,7 +1015,7 @@ fn cmd_compile(rest: &[String]) -> Result<(), String> {
 
 fn cmd_fuzz(rest: &[String]) -> Result<(), String> {
     let args = Args::parse("fuzz", rest)?;
-    reject_greybox_tuning(&args, "lanes")?;
+    reject_greybox_tuning(&args, "")?;
     let (program, compiled) = compile_from(&args)?;
     report(&compiled);
     let num_phvs = args.get_usize("phvs", 50_000)?;

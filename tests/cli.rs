@@ -91,20 +91,19 @@ fn flags_of_an_unselected_mode_are_rejected_by_name() {
         ("--corpus", "8"),
         ("--merge-every", "2"),
     ];
-    for (flag, value) in tuning.into_iter().chain([("--lanes", "8")]) {
+    for (flag, value) in tuning {
         rejected(fuzz(&[flag, value]), flag, greybox);
     }
-    rejected(
-        fuzz(&["--greybox", "0", "--lanes", "8"]),
-        "--lanes",
-        greybox,
-    );
     for (flag, value) in tuning.into_iter().chain([("--mutate-entries", "off")]) {
         rejected(vec!["p4-fuzz", flag, value], flag, greybox);
     }
-    // The P4 greybox oracle has no lane engine: never a p4-fuzz flag.
+    // `--lanes` belongs to `verify` alone: no fuzz mode takes it.
+    let unknown = |command: &str| format!("unknown flag `--lanes` for `druzhba {command}`");
+    rejected(fuzz(&["--lanes", "8"]), "--lanes", &unknown("fuzz"));
+    let greybox_lanes = fuzz(&["--greybox", "10", "--lanes", "8"]);
+    rejected(greybox_lanes, "--lanes", &unknown("fuzz"));
     let p4_lanes = vec!["p4-fuzz", "--greybox", "10", "--lanes", "8"];
-    rejected(p4_lanes, "--lanes", "unknown flag");
+    rejected(p4_lanes, "--lanes", &unknown("p4-fuzz"));
     for flag in ["--faults", "--minimize-checks"] {
         rejected(vec!["hunt", flag, "1"], flag, "generated-program hunt");
     }
